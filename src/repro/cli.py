@@ -725,7 +725,7 @@ def _command_serve_stream(args: argparse.Namespace) -> int:
     elif args.max_workers is not None:
         chunks = executor.stream_durable(counts, seed=args.seed)
     else:
-        chunks = executor.stream(counts, rng=np.random.default_rng(args.seed))
+        chunks = enumerate(executor.stream(counts, rng=np.random.default_rng(args.seed)))
 
     text_records = resume_records
     if is_npy_path(args.output):
@@ -762,26 +762,21 @@ def _command_serve_stream(args: argparse.Namespace) -> int:
 
     status = 0
     try:
-        if ledger is not None:
-            for index, chunk in chunks:
-                write_chunk(chunk)
-                # Checkpoint barrier: the chunk's bytes must be durable
-                # before the ledger may promise they are.
-                if isinstance(out, NpyCountWriter):
-                    out.sync()
-                    total, offset = out.records, out.offset
-                else:
-                    out.flush()
-                    os.fsync(out.fileno())
-                    text_records += int(np.size(chunk))
-                    total, offset = text_records, out.tell()
-                ledger.mark_done(index, int(np.size(chunk)), total, offset)
-        elif args.max_workers is not None:
-            for _index, chunk in chunks:
-                write_chunk(chunk)
-        else:
-            for chunk in chunks:
-                write_chunk(chunk)
+        for index, chunk in chunks:
+            write_chunk(chunk)
+            if ledger is None:
+                continue
+            # Checkpoint barrier: the chunk's bytes must be durable
+            # before the ledger may promise they are.
+            if isinstance(out, NpyCountWriter):
+                out.sync()
+                total, offset = out.records, out.offset
+            else:
+                out.flush()
+                os.fsync(out.fileno())
+                text_records += int(np.size(chunk))
+                total, offset = text_records, out.tell()
+            ledger.mark_done(index, int(np.size(chunk)), total, offset)
     except BudgetExceededError as error:
         print(
             f"privacy budget exhausted after {executor.stats.records} released "

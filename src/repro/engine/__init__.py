@@ -42,7 +42,7 @@ from repro.engine.executor import (
     StreamExecutor,
     iter_count_chunks,
 )
-from repro.engine.plan import ReleasePlan, charge_release, charge_release_group
+from repro.engine.plan import ReleasePlan, charge_release
 from repro.engine.stream_io import NpyCountWriter, open_npy_counts
 
 #: Convenience alias: ``compile_plan(...)`` reads naturally at call sites.
@@ -62,7 +62,6 @@ __all__ = [
     "ResumeState",
     "StreamExecutor",
     "charge_release",
-    "charge_release_group",
     "compile_plan",
     "iter_count_chunks",
     "open_npy_counts",

@@ -260,16 +260,13 @@ class AccountantLedger:
         fsync: bool,
         fault_site: str = "ledger_append",
     ) -> "AccountantLedger":
-        handle = path.open("rb+")
-        try:
-            records, keep_bytes = cls._read_records(path, handle)
-        except LedgerError:
-            handle.close()
-            raise
+        # Parse and replay read-only; the append handle is opened only
+        # once the log is known good, so no error path has one to close.
+        with path.open("rb") as reader:
+            records, keep_bytes = cls._read_records(path, reader)
         if not records:
             # The creating process died inside the very first (header)
             # write: nothing was ever charged, so start over.
-            handle.close()
             path.unlink()
             return cls.open(
                 path, alpha_target=alpha_target, config=config, fsync=fsync,
@@ -277,14 +274,12 @@ class AccountantLedger:
             )
         header = records[0]
         if header.get("type") != "header" or header.get("version") != LEDGER_VERSION:
-            handle.close()
             raise LedgerCorruptionError(
                 f"{path}: first record is not a version-{LEDGER_VERSION} header "
                 f"(got {header.get('type')!r} v{header.get('version')!r})"
             )
         stored_target = float(header["alpha_target"])
         if alpha_target is not None and float(alpha_target) != stored_target:
-            handle.close()
             raise LedgerConfigError(
                 f"{path}: ledger was opened with --budget-alpha {stored_target:g}, "
                 f"not {float(alpha_target):g}; resume with the original budget"
@@ -292,7 +287,6 @@ class AccountantLedger:
         stored_config = dict(header.get("config") or {})
         for key, value in (config or {}).items():
             if stored_config.get(key) != value:
-                handle.close()
                 raise LedgerConfigError(
                     f"{path}: ledger pins {key}={stored_config.get(key)!r} but this "
                     f"run requests {key}={value!r}; resume with the original "
@@ -307,7 +301,6 @@ class AccountantLedger:
             if kind == "charge":
                 chunk = int(record["chunk"])
                 if chunk in charges or chunk in refusals:
-                    handle.close()
                     raise LedgerCorruptionError(
                         f"{path}: chunk {chunk} is charged twice in the log"
                     )
@@ -316,10 +309,9 @@ class AccountantLedger:
                         float(record["alpha"]), label=record.get("label", "")
                     )
                 except (BudgetExceededError, ValueError) as error:
-                    # A charge was only ever appended after can_release()
+                    # A charge was only ever appended after admit()
                     # passed, so a log that replays over budget (or with an
                     # invalid alpha) was not written by this code path.
-                    handle.close()
                     raise LedgerCorruptionError(
                         f"{path}: replaying chunk {chunk}'s charge fails "
                         f"({error}); the log is inconsistent"
@@ -328,7 +320,6 @@ class AccountantLedger:
             elif kind == "done":
                 chunk = int(record["chunk"])
                 if chunk not in charges:
-                    handle.close()
                     raise LedgerCorruptionError(
                         f"{path}: chunk {chunk} is marked done but never charged"
                     )
@@ -336,16 +327,15 @@ class AccountantLedger:
             elif kind == "refusal":
                 chunk = int(record["chunk"])
                 if chunk in charges or chunk in refusals:
-                    handle.close()
                     raise LedgerCorruptionError(
                         f"{path}: chunk {chunk} is recorded twice in the log"
                     )
                 refusals[chunk] = record
             else:
-                handle.close()
                 raise LedgerCorruptionError(
                     f"{path}: unknown record type {kind!r}"
                 )
+        handle = path.open("rb+")
         if keep_bytes < path.stat().st_size:
             # Torn tail: drop the partial record a crash left behind, then
             # make the truncation itself durable before appending anything.
@@ -534,10 +524,12 @@ class AccountantLedger:
         the ledger already holds it (a resumed run replaying the schedule —
         the chunk is *not* double-counted, but its parameters must match
         the recorded ones or :class:`LedgerCorruptionError` is raised).
-        An over-budget or invalid ``alpha`` raises *before* anything is
-        appended: a refused release leaves no trace, durable or otherwise
-        (the serving daemon journals the refusal separately via
-        :meth:`record_refusal` because refusals consume substream spawns).
+        The same call as :meth:`~repro.privacy.PrivacyAccountant.charge`:
+        an ``alpha`` the accountant's admission rule refuses raises
+        *before* anything is appended, so a refused release leaves no trace,
+        durable or otherwise (the serving daemon journals the refusal
+        separately via :meth:`record_refusal` because refusals consume
+        substream spawns).
         ``extra`` lands as additional record keys (e.g. the daemon's design
         parameters, read back for idempotent request replay); ``sync=False``
         defers the fsync to a group-commit :meth:`sync`.
@@ -559,22 +551,9 @@ class AccountantLedger:
                     "the resumed run does not match the recorded one"
                 )
             return False
-        # Validate + budget-check before the WAL append, so refusals are
-        # trace-free; mirrors charge_release()'s non-positive-alpha rule.
-        # The budget comparison is can_release() inlined — alpha is already
-        # validated here, so the accountant's re-validation is skipped.
-        if not (0.0 < alpha <= 1.0):
-            raise BudgetExceededError(
-                f"release at alpha={alpha:g} has unbounded privacy cost "
-                "(epsilon = inf); an accountant-guarded path cannot serve it"
-            )
-        accountant = self.accountant
-        if accountant.spent_alpha() * alpha < accountant.alpha_target - 1e-15:
-            raise BudgetExceededError(
-                f"release at alpha={alpha:g} would push the guarantee below "
-                f"the target {accountant.alpha_target:g} "
-                f"(already spent alpha={accountant.spent_alpha():g})"
-            )
+        # The accountant's admission rule runs before the WAL append, so a
+        # refusal leaves no trace, durable or otherwise.
+        self.accountant.admit(alpha)
         record = {
             "type": "charge",
             "chunk": chunk,
@@ -612,28 +591,8 @@ class AccountantLedger:
                 payload = (
                     head + b"%d" % chunk + b',"crc":' + b"%d" % record["crc"] + tail
                 )
-        if payload is not None and sync is False and not self._closed:
-            # _append inlined for the serving hot path (template hit,
-            # deferred sync): same framing, fault hook and offset/queue
-            # bookkeeping, minus the call and the generic branches.
-            blob = _RECORD_HEAD.pack(len(payload), zlib.crc32(payload)) + payload
-            injector = _faults.get_injector()
-            if (
-                injector.io_error_rate > 0.0
-                or injector.torn_write is not None
-                or injector.torn_tenant_ledger is not None
-            ):
-                self._faulted_append(injector, blob)
-            self._handle.write(blob)
-            if self._fsync:
-                self._unsynced.append((self._offset, blob))
-            self._offset += len(blob)
-            self._dirty = True
-        else:
-            self._append(record, sync=sync, payload=payload)
-        # The inlined can_release() above already admitted this alpha;
-        # record the spend without re-checking.
-        accountant.record_admitted(alpha, label=label)
+        self._append(record, sync=sync, payload=payload)
+        self.accountant.record(alpha, label=label)
         self._charges[chunk] = record
         return True
 

@@ -244,7 +244,10 @@ class StreamExecutor:
         self.plan = plan
         self.chunk_size = int(chunk_size)
         self.ledger = ledger
-        self.accountant = ledger.accountant if ledger is not None else accountant
+        #: What every chunk is charged to: the durable ledger, else the
+        #: in-memory accountant (``None`` = unmetered).
+        self.budget = accountant if ledger is None else ledger
+        self.accountant = accountant if ledger is None else ledger.accountant
         self.max_workers = None if max_workers is None else int(max_workers)
         self.chunk_timeout = chunk_timeout
         self.max_retries = int(max_retries)
@@ -296,7 +299,7 @@ class StreamExecutor:
             # across chunks here.
             for index, chunk in enumerate(iter_count_chunks(counts, self.chunk_size)):
                 self._validate_chunk(chunk)
-                self._charge(index, chunk.shape[0])
+                self._charge(index, chunk)
                 released = self.plan.execute(chunk, rng=rng)
                 self._count(chunk.shape[0])
                 yield released
@@ -416,19 +419,7 @@ class StreamExecutor:
                 self.stats.resumed_records += int(chunk.shape[0])
                 continue
             self._validate_chunk(chunk)
-            if self.ledger is not None:
-                self.ledger.charge(
-                    index,
-                    self.plan.alpha_cost,
-                    chunk.shape[0],
-                    label=(
-                        f"{self.plan.mechanism.name} chunk {index} "
-                        f"({chunk.shape[0]} counts)"
-                    ),
-                    crc=chunk_crc(chunk),
-                )
-            else:
-                self._charge(index, chunk.shape[0])
+            self._charge(index, chunk)
             yield index, chunk, child
 
     def _sample_local(
@@ -601,12 +592,16 @@ class StreamExecutor:
                 f"got [{chunk.min()}, {chunk.max()}]"
             )
 
-    def _charge(self, index: int, size: int) -> None:
-        """Charge one chunk before sampling it (raises without drawing)."""
-        self.plan.charge(
-            self.accountant,
-            label=f"{self.plan.mechanism.name} chunk {index} ({size} counts)",
-        )
+    def _charge(self, index: int, chunk: np.ndarray) -> None:
+        """Charge one chunk to :attr:`budget` before it is sampled."""
+        if self.budget is not None:
+            self.budget.charge(
+                index,
+                self.plan.alpha_cost,
+                chunk.shape[0],
+                label=f"{self.plan.mechanism.name} chunk {index} ({chunk.shape[0]} counts)",
+                crc=chunk_crc(chunk),
+            )
 
     def _count(self, size: int) -> None:
         self.stats.chunks += 1

@@ -34,7 +34,7 @@ demands, either directly (:meth:`execute` / :meth:`execute_tiled` /
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from repro.core.mechanism import Mechanism
 from repro.core.properties import StructuralProperty
 from repro.core.selector import SelectorDecision, choose_mechanism
 from repro.lp.solver import DEFAULT_BACKEND
-from repro.privacy import BudgetExceededError, PrivacyAccountant
+from repro.privacy import PrivacyAccountant
 
 PropertiesLike = Union[None, str, Iterable[Union[str, StructuralProperty]]]
 
@@ -57,16 +57,6 @@ PropertiesLike = Union[None, str, Iterable[Union[str, StructuralProperty]]]
 PostProcess = Callable[[np.ndarray], np.ndarray]
 
 
-def _check_chargeable_alpha(alpha: float) -> float:
-    """Refuse a non-positive α: its privacy cost is unbounded (ε = ∞)."""
-    if not (0.0 < alpha <= 1.0):
-        raise BudgetExceededError(
-            f"release at alpha={alpha:g} has unbounded privacy cost (epsilon = inf); "
-            "an accountant-guarded path cannot serve it"
-        )
-    return float(alpha)
-
-
 def charge_release(
     accountant: Optional[PrivacyAccountant],
     alpha: float,
@@ -75,53 +65,17 @@ def charge_release(
 ) -> None:
     """Charge ``releases`` sequential α-DP releases against an accountant.
 
-    The single budget-enforcement point every engine-routed path uses
-    (directly, or through :func:`charge_release_group` for mixed batches):
-    ``None`` accountant means unmetered (free) serving; a non-positive α has
-    unbounded privacy cost (ε = ∞) and is always refused.  Raises
-    :class:`~repro.privacy.BudgetExceededError` *before* the caller draws
-    any samples — charging precedes sampling everywhere in the engine.
+    ``None`` accountant means unmetered (free) serving.  Otherwise ``alpha``
+    and then the composed ``alpha ** releases`` go through the accountant's
+    admission rule (:meth:`~repro.privacy.PrivacyAccountant.admit`), which
+    raises :class:`~repro.privacy.BudgetExceededError` *before* the caller
+    draws any samples — charging precedes sampling everywhere in the engine.
     """
     if accountant is None:
         return
-    alpha = _check_chargeable_alpha(alpha)
     if int(releases) != releases or releases < 1:
         raise ValueError("releases must be a positive integer")
-    composed = alpha ** int(releases)
-    if not accountant.can_release(composed):
-        raise BudgetExceededError(
-            f"{releases} release(s) at alpha={alpha:g} would push the guarantee below "
-            f"the target {accountant.alpha_target:g} "
-            f"(already spent alpha={accountant.spent_alpha():g})"
-        )
-    accountant.record(composed, label=label)
-
-
-def charge_release_group(
-    accountant: Optional[PrivacyAccountant],
-    releases: Sequence[Tuple[float, str]],
-) -> None:
-    """All-or-nothing charge of several α-DP releases served together.
-
-    The whole group (a mixed serving batch: one ``(alpha, label)`` entry
-    per about-to-execute bucket) is checked against the budget *before*
-    anything is recorded, so a refusal leaves the accountant untouched and
-    the caller has drawn nothing.  On success each release is recorded
-    individually, preserving per-bucket history labels.
-    """
-    if accountant is None or not releases:
-        return
-    composed = 1.0
-    for alpha, _ in releases:
-        composed *= _check_chargeable_alpha(alpha)
-    if not accountant.can_release(composed):
-        raise BudgetExceededError(
-            f"serving this request (composed alpha={composed:g}) would push the "
-            f"guarantee below the target {accountant.alpha_target:g} "
-            f"(already spent alpha={accountant.spent_alpha():g})"
-        )
-    for alpha, label in releases:
-        accountant.record(alpha, label=label)
+    accountant.record(accountant.admit(alpha) ** int(releases), label=label)
 
 
 class ReleasePlan:
@@ -356,24 +310,6 @@ class ReleasePlan:
             metrics=metrics,
             rng=rng,
             seed=seed,
-        )
-
-    def charge(
-        self,
-        accountant: Optional[PrivacyAccountant],
-        releases: int = 1,
-        label: str = "",
-    ) -> None:
-        """Charge ``releases`` executions of this plan against an accountant.
-
-        Raises :class:`~repro.privacy.BudgetExceededError` (and records
-        nothing) when the budget cannot cover them; call *before* sampling.
-        """
-        charge_release(
-            accountant,
-            self.alpha_cost,
-            label=label or f"{self.mechanism.name} release",
-            releases=releases,
         )
 
     # ------------------------------------------------------------------ #

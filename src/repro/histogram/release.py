@@ -24,7 +24,7 @@ from typing import Callable, Dict, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.mechanism import Mechanism
-from repro.engine.plan import ReleasePlan
+from repro.engine.plan import ReleasePlan, charge_release
 from repro.privacy import PrivacyAccountant
 
 #: Signature of a mechanism factory: (n, alpha) -> Mechanism.
@@ -197,7 +197,9 @@ class HistogramRelease:
         if rng is None:
             rng = self.rng if self.rng is not None else np.random.default_rng()
         plan = self.plan_for(capacity)
-        plan.charge(self.accountant, label=f"histogram ({counts.size} buckets)")
+        charge_release(
+            self.accountant, plan.alpha_cost, label=f"histogram ({counts.size} buckets)"
+        )
         released = plan.execute(counts, rng=rng)
         return PrivateHistogram(
             true_counts=counts,
@@ -227,10 +229,11 @@ class HistogramRelease:
         if rng is None:
             rng = self.rng if self.rng is not None else np.random.default_rng()
         plan = self.plan_for(capacity)
-        plan.charge(
+        charge_release(
             self.accountant,
-            releases=int(repetitions),
+            plan.alpha_cost,
             label=f"histogram x{repetitions} ({counts.size} buckets)",
+            releases=int(repetitions),
         )
         return plan.execute_tiled(counts, repetitions, rng=rng)
 

@@ -127,6 +127,7 @@ class PrivacyAccountant:
     #: serving hot path (one budget check per request) is O(1) in the
     #: number of past releases instead of O(history).
     _spent: float = field(default=1.0, repr=False)
+    _refusals: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         self.alpha_target = _check_alpha(self.alpha_target)
@@ -152,24 +153,66 @@ class PrivacyAccountant:
         """Whether a further release at ``alpha`` keeps the target intact."""
         return self.spent_alpha() * _check_alpha(alpha) >= self.alpha_target - 1e-15
 
-    def record(self, alpha: float, label: str = "") -> None:
-        """Record a release, refusing it if the budget would be exceeded."""
+    def admit(self, alpha: float) -> float:
+        """The admission rule every budgeted path applies before sampling.
+
+        Returns ``alpha`` as a float when one more release at it fits;
+        otherwise raises :class:`BudgetExceededError` and records nothing.
+        An ``alpha`` outside ``(0, 1]`` (NaN and ±inf included) has
+        unbounded privacy cost (ε = ∞) and is always refused.
+        """
+        alpha = float(alpha)
+        if not (0.0 < alpha <= 1.0):
+            raise BudgetExceededError(
+                f"release at alpha={alpha:g} has unbounded privacy cost "
+                "(epsilon = inf); an accountant-guarded path cannot serve it"
+            )
         if not self.can_release(alpha):
             raise BudgetExceededError(
                 f"release at alpha={alpha:g} would push the guarantee below the "
                 f"target {self.alpha_target:g} (already spent alpha={self.spent_alpha():g})"
             )
-        self.record_admitted(alpha, label=label)
+        return alpha
 
-    def record_admitted(self, alpha: float, label: str = "") -> None:
-        """Record a release the caller has *already* checked with
-        :meth:`can_release` — the second half of a check-then-record pair.
+    def record(self, alpha: float, label: str = "") -> None:
+        """Record a release, refusing it if the budget would be exceeded.
 
-        Skips the redundant budget re-check; the serving hot path pays for
-        exactly one :meth:`can_release` per request.
+        Unlike :meth:`charge`, an ``alpha`` outside ``(0, 1]`` is a caller
+        error here (:class:`ValueError`), not a refusal.
         """
-        self._releases.append((label or f"release {len(self._releases) + 1}", float(alpha)))
-        self._spent *= float(alpha)
+        alpha = self.admit(_check_alpha(alpha))
+        self._releases.append((label or f"release {len(self._releases) + 1}", alpha))
+        self._spent *= alpha
+
+    def charge(
+        self,
+        chunk: int,
+        alpha: float,
+        size: int,
+        label: str = "",
+        crc: Optional[int] = None,
+        extra: Optional[dict] = None,
+        sync: Optional[bool] = None,
+    ) -> bool:
+        """Charge one release before it is sampled (refusals via :meth:`admit`).
+
+        The same call as :meth:`repro.engine.durability.AccountantLedger
+        .charge`, so a caller need not know which budget it holds; only
+        ``alpha`` and ``label`` matter in memory.  Returns ``True``.
+        """
+        self.record(self.admit(alpha), label=label)
+        return True
+
+    def record_refusal(
+        self, chunk: int, label: str = "", sync: Optional[bool] = None
+    ) -> bool:
+        """Count a refused release; the ledger's same call also journals it."""
+        self._refusals += 1
+        return True
+
+    def refusal_count(self) -> int:
+        """How many refusals :meth:`record_refusal` has counted."""
+        return self._refusals
 
     def remaining_releases(self, alpha: float) -> int:
         """How many further releases at ``alpha`` the remaining budget supports.

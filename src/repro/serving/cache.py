@@ -194,8 +194,10 @@ class DesignCache:
                 warm_attempts=self._warm_attempts,
                 warm_hits=self._warm_hits,
                 warm_fallbacks=self._warm_fallbacks,
-                corrupt_rows=self.registry.corrupt_rows if self.registry else 0,
-                imported_legacy=self.registry.imported_legacy if self.registry else 0,
+                corrupt_rows=0 if self.registry is None else self.registry.corrupt_rows,
+                imported_legacy=(
+                    0 if self.registry is None else self.registry.imported_legacy
+                ),
             )
 
     def clear(self, disk: bool = False) -> None:

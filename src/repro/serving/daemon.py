@@ -30,7 +30,8 @@ amortises both across a process lifetime — and across *tenants*:
   pending.
 
 * **Budget shedding.**  Each batched request is charged against its
-  tenant's accountant *before* any sampling, in arrival order.  An
+  tenant's budget *before* any sampling, in arrival order — one ``charge``
+  call, whether the budget is in memory or a durable ledger.  An
   over-budget request is shed from the batch with a code-1 refusal —
   consuming its substream spawn but zero uniforms — while the rest of the
   batch proceeds untouched.
@@ -122,29 +123,34 @@ _OnWritten = Optional[Callable[[], None]]
 
 
 class TenantSession:
-    """One tenant's serving state: accountant, substream root, counters."""
+    """One tenant's serving state: budget, substream root, counters."""
 
     def __init__(
         self,
         name: str,
         root: np.random.SeedSequence,
-        accountant: Optional[PrivacyAccountant],
+        budget: Union[PrivacyAccountant, AccountantLedger, None],
         seed: Optional[int] = None,
         budget_alpha: Optional[float] = None,
-        ledger: Optional[AccountantLedger] = None,
     ) -> None:
         self.name = name
         self.root = root
-        self.accountant = accountant
+        #: What every charge and refusal goes through (``None`` = unmetered).
+        self.budget = budget
+        #: The durable ledger, for ``seq`` replay and done marks.
+        self.ledger = budget if isinstance(budget, AccountantLedger) else None
+        self.accountant = budget if self.ledger is None else self.ledger.accountant
         self.seed = seed
         self.budget_alpha = budget_alpha
-        #: Durable backing for the accountant (``None`` = in-memory only).
-        self.ledger = ledger
         self.requests = 0
         self.records = 0
-        self.refusals = 0
         #: Releases currently admitted but unanswered (``max_inflight``).
         self.inflight = 0
+
+    @property
+    def refusals(self) -> int:
+        """Over-budget refusals, restored from the ledger after a restart."""
+        return 0 if self.budget is None else self.budget.refusal_count()
 
     def next_substream(self) -> np.random.SeedSequence:
         """The substream of this tenant's next consumed sequence number.
@@ -347,17 +353,15 @@ class ServingDaemon:
                 session = TenantSession(
                     recovered.name,
                     recovered.root,
-                    recovered.ledger.accountant,
+                    recovered.ledger,
                     seed=recovered.tenant_seed,
                     budget_alpha=(
                         float(recovered.ledger.accountant.alpha_target)
                         if recovered.budget_source == "hello"
                         else None
                     ),
-                    ledger=recovered.ledger,
                 )
                 session.requests = recovered.next_seq
-                session.refusals = recovered.refusals
                 self._tenants[recovered.name] = session
         #: Shared compiled plans, LRU-bounded by the cache capacity (the
         #: same knob that bounds the design cache itself).
@@ -484,12 +488,12 @@ class ServingDaemon:
             server_seed=self.seed,
             tenant_seed=None if seed is None else int(seed),
         )
-        ledger: Optional[AccountantLedger] = None
+        tenant_budget: Union[PrivacyAccountant, AccountantLedger, None] = None
         if self._store is not None:
             # The ledger (pinning the root's lineage) must exist before the
             # root spawns anything, or a crash here could lose the stream.
             try:
-                ledger = self._store.create(
+                tenant_budget = self._store.create(
                     name,
                     root,
                     tenant_seed=None if seed is None else int(seed),
@@ -500,20 +504,14 @@ class ServingDaemon:
                 raise ProtocolError(
                     f"cannot create tenant {name!r}'s ledger: {error}"
                 ) from error
-            accountant: Optional[PrivacyAccountant] = ledger.accountant
-        else:
-            accountant = (
-                PrivacyAccountant(alpha_target=float(effective_budget))
-                if effective_budget is not None
-                else None
-            )
+        elif effective_budget is not None:
+            tenant_budget = PrivacyAccountant(alpha_target=float(effective_budget))
         session = TenantSession(
             name,
             root,
-            accountant,
+            tenant_budget,
             seed=None if seed is None else int(seed),
             budget_alpha=None if budget is None else float(budget),
-            ledger=ledger,
         )
         self._tenants[name] = session
         return session
@@ -770,7 +768,7 @@ class ServingDaemon:
 
         now = time.monotonic()
         survivors: List[_PendingRequest] = []
-        touched: Dict[int, AccountantLedger] = {}
+        touched: Dict[int, Union[PrivacyAccountant, AccountantLedger]] = {}
         for item in batch:
             if item.deadline is not None and now > item.deadline:
                 self.stats.overloaded += 1
@@ -799,52 +797,33 @@ class ServingDaemon:
                     ),
                 )
                 continue
-            label = (
-                f"{tenant.name}: {item.plan.mechanism.name} "
-                f"release ({item.command.counts.shape[0]} counts)"
-            )
-            if tenant.ledger is not None:
+            budget = tenant.budget
+            refusal: Optional[str] = None
+            if budget is not None:
+                size = int(item.command.counts.shape[0])
+                label = (
+                    f"{tenant.name}: {item.plan.mechanism.name} "
+                    f"release ({size} counts)"
+                )
                 try:
-                    tenant.ledger.charge(
-                        seq,
-                        alpha=float(item.command.alpha),
-                        size=int(item.command.counts.shape[0]),
-                        label=label,
-                        crc=chunk_crc(item.command.counts),
-                        extra={
-                            "n": int(item.command.n),
-                            "properties": item.command.properties,
-                        },
-                        sync=False,
-                    )
-                except BudgetExceededError as error:
                     try:
-                        tenant.ledger.record_refusal(seq, label=label, sync=False)
-                    except OSError as append_error:
-                        self.stats.ledger_errors += 1
-                        self._resolve(
-                            item,
-                            error_response(
-                                f"tenant ledger append failed: {append_error}",
-                                id=item.command.request_id, retriable=True,
-                            ),
+                        budget.charge(
+                            seq,
+                            alpha=float(item.command.alpha),
+                            size=size,
+                            label=label,
+                            crc=chunk_crc(item.command.counts),
+                            extra={
+                                "n": int(item.command.n),
+                                "properties": item.command.properties,
+                            },
+                            sync=False,
                         )
-                        continue
-                    except _faults.InjectedCrash:
-                        self._hard_exit()
-                    touched[id(tenant.ledger)] = tenant.ledger
-                    tenant.next_substream()  # the refusal consumes its spawn
-                    tenant.refusals += 1
-                    self.stats.budget_refusals += 1
-                    self._resolve(
-                        item,
-                        refusal_response(
-                            str(error), id=item.command.request_id, seq=seq
-                        ),
-                    )
-                    continue
+                    except BudgetExceededError as error:
+                        refusal = str(error)
+                        budget.record_refusal(seq, label=label, sync=False)
                 except OSError as error:
-                    # The charge never reached the log: nothing durable,
+                    # The record never reached the log: nothing durable,
                     # nothing consumed — a retry lands on this same seq.
                     self.stats.ledger_errors += 1
                     self._resolve(
@@ -860,23 +839,16 @@ class ServingDaemon:
                     # and the process is "dead" — exit as hard as a crash
                     # would, leaving the torn tail for restart recovery.
                     self._hard_exit()
-                touched[id(tenant.ledger)] = tenant.ledger
-            else:
-                try:
-                    item.plan.charge(tenant.accountant, label=label)
-                except BudgetExceededError as error:
-                    tenant.next_substream()  # the refusal consumes its spawn
-                    tenant.refusals += 1
-                    self.stats.budget_refusals += 1
-                    self._resolve(
-                        item,
-                        refusal_response(
-                            str(error), id=item.command.request_id
-                        ),
-                    )
-                    continue
+                touched[id(budget)] = budget
             item.seq = seq
-            item.child = tenant.next_substream()
+            item.child = tenant.next_substream()  # a refusal consumes its spawn too
+            if refusal is not None:
+                self.stats.budget_refusals += 1
+                self._resolve(
+                    item,
+                    refusal_response(refusal, id=item.command.request_id, seq=seq),
+                )
+                continue
             survivors.append(item)
 
         # Group-commit barrier: every buffered charge/refusal must be
@@ -891,7 +863,7 @@ class ServingDaemon:
         # restart recovery re-derives a consistent state from disk and
         # clients converge via seq replay.
         descriptor = None
-        if touched:
+        if touched and self._store is not None:
             try:
                 descriptor = self._store.stage_commit(touched.values())
             except OSError:  # pragma: no cover - disk-level write failure
@@ -961,10 +933,10 @@ class ServingDaemon:
                 branch=plan.branch,
                 alpha=item.command.alpha,
                 coalesced=len(items),
+                seq=item.seq,
             )
             on_written: _OnWritten = None
-            if item.tenant.ledger is not None and item.seq is not None:
-                response["seq"] = item.seq
+            if item.tenant.ledger is not None:
                 on_written = self._done_callback(
                     item.tenant.ledger, item.seq, size
                 )

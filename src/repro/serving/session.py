@@ -27,6 +27,7 @@ the uniform stream in first-appearance order of their design key.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -38,7 +39,7 @@ from repro.core.mechanism import Mechanism
 from repro.core.properties import StructuralProperty
 from repro.engine.plan import ReleasePlan
 from repro.lp.solver import DEFAULT_BACKEND
-from repro.privacy import PrivacyAccountant
+from repro.privacy import BudgetExceededError, PrivacyAccountant
 from repro.serving.cache import DesignCache, design_key
 
 PropertiesLike = Union[None, str, Iterable[Union[str, StructuralProperty]]]
@@ -203,23 +204,22 @@ class BatchReleaseSession:
     def _charge(self, plans_and_labels: Sequence[Tuple[ReleasePlan, str]]) -> None:
         """Charge a set of about-to-execute batches, refusing all-or-nothing.
 
-        Delegates to the engine's shared enforcement point
-        (:func:`~repro.engine.plan.charge_release_group`): the whole request
-        is checked against the budget *before* anything is recorded or
-        sampled, so a refusal leaves both the accountant and the generator
-        untouched.
+        The request's composed α goes through the accountant's admission
+        rule *before* anything is recorded or sampled, so a refusal leaves
+        both the accountant and the generator untouched; each batch is then
+        recorded under its own label.
         """
-        from repro.engine.plan import charge_release_group
-        from repro.privacy import BudgetExceededError
-
+        if self.accountant is None:
+            return
         try:
-            charge_release_group(
-                self.accountant,
-                [(plan.alpha_cost, label) for plan, label in plans_and_labels],
+            self.accountant.admit(
+                math.prod(plan.alpha_cost for plan, _ in plans_and_labels)
             )
         except BudgetExceededError:
             self.stats.budget_refusals += 1
             raise
+        for plan, label in plans_and_labels:
+            self.accountant.record(plan.alpha_cost, label=label)
         self._sync_budget_stats()
 
     def _sync_budget_stats(self) -> None:

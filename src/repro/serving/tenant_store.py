@@ -31,13 +31,16 @@ the uninterrupted run.  Three record types matter:
     the response reached the client's connection; a charged-but-not-done
     index is the crash window, re-served (never re-charged) on replay.
 
-**Group commit** (:meth:`TenantStore.group_commit`): a coalesced batch can
-touch every tenant, and one device flush per touched ledger per batch is
-the dominant serving cost of durability.  Instead, each batch's ledger
+**Group commit**: a coalesced batch can touch every tenant, and one device
+flush per touched ledger per batch is the dominant serving cost of
+durability.  Instead, each batch's ledger
 appends are buffered to the OS (surviving *process* crashes as-is), their
 raw record bytes are copied — tagged with tenant slug and ledger byte
 offset — into one store-wide ``commit.bin``, and only *that* file is
-``fdatasync``'d: one flush per batch, regardless of tenant count.
+``fdatasync``'d: one flush per batch, regardless of tenant count.  The
+single commit barrier is :meth:`TenantStore.stage_commit` (drain, framing,
+the ``write``) followed by the daemon's one ``_datasync`` of the returned
+descriptor after the batch samples and before any response leaves.
 Recovery re-applies the commit log's records into the ledger files at
 their recorded offsets (idempotent: re-writing bytes the page cache
 already persisted changes nothing) before parsing them, then resets the
@@ -305,21 +308,6 @@ class TenantStore:
     # ------------------------------------------------------------------ #
     # Group commit
     # ------------------------------------------------------------------ #
-    def group_commit(self, ledgers: Iterable[AccountantLedger]) -> None:
-        """Make this batch's buffered ledger appends durable — one flush.
-
-        Drains every touched ledger's ``sync=False`` appends into the
-        store-wide commit log and ``fdatasync``s only that file.  The
-        tenant ledgers keep their bytes in the OS page cache (a *process*
-        crash loses nothing); an OS crash is covered by replaying the
-        commit log into the ledger files at the recorded offsets on the
-        next startup.  Raises :class:`OSError` if the commit log cannot
-        be made durable — the daemon treats that as fatal.
-        """
-        descriptor = self.stage_commit(ledgers)
-        if descriptor is not None:
-            datasync(descriptor)
-
     def stage_commit(
         self, ledgers: Iterable[AccountantLedger]
     ) -> Optional[int]:

@@ -314,6 +314,14 @@ class TestWarmStartingThroughCache:
         cache.get_or_design(8, 0.95, properties="WH+CM", backend="simplex")
         assert cache.stats().warm_attempts == 0
 
+    def test_stats_after_close(self, tmp_path):
+        # stats() must not touch the registry's (closed) connection.
+        cache = DesignCache(directory=tmp_path)
+        cache.get_or_design(8, 0.9, properties="WH+CM")
+        cache.close()
+        stats = cache.stats()
+        assert (stats.misses, stats.size, stats.corrupt_rows) == (1, 1, 0)
+
 
 class TestWarmGrid:
     def test_parse_grid(self):
