@@ -35,7 +35,7 @@ import numpy as np
 from repro.core.losses import Objective
 from repro.core.mechanism import Mechanism
 from repro.lp.model import LinearProgram
-from repro.lp.solver import DEFAULT_BACKEND, solve
+from repro.lp.solver import solve
 
 MatrixLike = Union[np.ndarray, Mechanism]
 
@@ -87,7 +87,6 @@ def optimal_remap(
     mechanism: Mechanism,
     objective: Optional[Objective] = None,
     prior: Optional[Sequence[float]] = None,
-    backend: str = DEFAULT_BACKEND,
 ) -> np.ndarray:
     """The remapping matrix minimising an objective for a given prior.
 
@@ -130,7 +129,7 @@ def optimal_remap(
         {variables[k][i]: float(cost[k, i]) for k in range(size) for i in range(size)},
         sense="min",
     )
-    solution = solve(program, backend=backend)
+    solution = solve(program)
     remap = np.zeros((size, size))
     for k in range(size):
         for i in range(size):
@@ -145,7 +144,6 @@ def derive_from_geometric(
     alpha: float,
     objective: Optional[Objective] = None,
     prior: Optional[Sequence[float]] = None,
-    backend: str = DEFAULT_BACKEND,
 ) -> Mechanism:
     """The prior-optimal post-processing of GM (the Ghosh et al. construction).
 
@@ -159,7 +157,7 @@ def derive_from_geometric(
     from repro.mechanisms.geometric import geometric_mechanism
 
     gm = geometric_mechanism(n, alpha)
-    remap = optimal_remap(gm, objective=objective, prior=prior, backend=backend)
+    remap = optimal_remap(gm, objective=objective, prior=prior)
     derived = post_process(gm, remap, name="GM*")
     derived.metadata["derived_via"] = "optimal_remap"
     return derived

@@ -42,7 +42,6 @@ from repro.core.losses import Objective
 from repro.core.mechanism import Mechanism
 from repro.core.properties import StructuralProperty
 from repro.core.selector import SelectorDecision, choose_mechanism
-from repro.lp.solver import DEFAULT_BACKEND
 from repro.privacy import PrivacyAccountant
 
 PropertiesLike = Union[None, str, Iterable[Union[str, StructuralProperty]]]
@@ -156,7 +155,6 @@ class ReleasePlan:
         alpha: float,
         properties: PropertiesLike = (),
         objective: Optional[Objective] = None,
-        backend: str = DEFAULT_BACKEND,
         cache: Optional[Any] = None,
         representation: str = "auto",
         postprocess: Optional[PostProcess] = None,
@@ -173,7 +171,6 @@ class ReleasePlan:
             alpha,
             properties=properties,
             objective=objective,
-            backend=backend,
             cache=cache,
             representation=representation,
         )
@@ -360,9 +357,6 @@ class ReleasePlan:
         fields = parse_design_key(self.key) or {}
         descriptor: Dict[str, Any] = {"key": self.key}
         descriptor.update(fields)
-        descriptor["warm_started"] = bool(
-            self.mechanism.metadata.get("lp_warm_started", False)
-        )
         return descriptor
 
     def describe(self) -> str:

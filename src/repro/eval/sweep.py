@@ -87,26 +87,22 @@ def set_default_max_workers(max_workers: Optional[int]) -> Optional[int]:
 
 
 def _resolve_mechanism(
-    name_or_mechanism: Union[str, Mechanism], n: int, alpha: float, backend: str
+    name_or_mechanism: Union[str, Mechanism], n: int, alpha: float
 ) -> Mechanism:
     if isinstance(name_or_mechanism, Mechanism):
         return name_or_mechanism
-    if str(name_or_mechanism).upper() in ("WM", "WEAKLY_HONEST", "WEAK_HONEST"):
-        return create_mechanism("WM", n=n, alpha=alpha, backend=backend)
     return create_mechanism(str(name_or_mechanism), n=n, alpha=alpha)
 
 
 def _resolve_mechanism_task(task) -> Mechanism:
     """Module-level worker so the parallel design stage can pickle its jobs."""
-    name, n, alpha, backend = task
-    return _resolve_mechanism(name, n, alpha, backend)
+    return _resolve_mechanism(*task)
 
 
 def _build_mechanism_grid(
     alphas: Sequence[float],
     group_sizes: Sequence[int],
     mechanisms: Sequence[Union[str, Mechanism]],
-    backend: str,
     max_workers: Optional[int],
 ) -> Dict[Tuple[float, int], List[Mechanism]]:
     """Build every ``(alpha, n)`` mechanism list, optionally across processes.
@@ -123,7 +119,7 @@ def _build_mechanism_grid(
         for pair in pairs:
             for mechanism in mechanisms:
                 if not isinstance(mechanism, Mechanism):
-                    jobs.append((str(mechanism), pair[1], pair[0], backend))
+                    jobs.append((str(mechanism), pair[1], pair[0]))
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=int(max_workers)) as pool:
@@ -136,7 +132,7 @@ def _build_mechanism_grid(
     else:
         for alpha, group_size in pairs:
             built[(alpha, group_size)] = [
-                _resolve_mechanism(mechanism, group_size, alpha, backend)
+                _resolve_mechanism(mechanism, group_size, alpha)
                 for mechanism in mechanisms
             ]
     return built
@@ -151,7 +147,6 @@ def sweep(
     num_groups: int = 1000,
     metrics: Optional[Mapping[str, MetricFunction]] = None,
     seed: Optional[int] = None,
-    backend: str = "scipy",
     data: Optional[Mapping[Tuple[int, float], GroupedCounts]] = None,
     max_workers: Optional[int] = None,
 ) -> SweepResult:
@@ -196,7 +191,7 @@ def sweep(
         max_workers = DEFAULT_MAX_WORKERS
     # Mechanisms depend only on (n, alpha): build them once per pair, in
     # parallel when requested.
-    mechanism_grid = _build_mechanism_grid(alphas, group_sizes, mechanisms, backend, max_workers)
+    mechanism_grid = _build_mechanism_grid(alphas, group_sizes, mechanisms, max_workers)
     # Walk the grid in serial order, drawing every data/evaluation seed
     # exactly as the serial path would, yielding the (independent)
     # evaluation tasks lazily.  The serial path keeps only one workload

@@ -47,7 +47,6 @@ def run(
     alpha: float = DEFAULT_ALPHA,
     group_sizes: Sequence[int] = DEFAULT_GROUP_SIZES,
     objectives: Sequence[Objective] = (Objective.l1(), Objective.l2()),
-    backend: str = "scipy",
 ) -> ExperimentResult:
     """Solve the L1/L2 design LPs across the property ladder."""
     result = ExperimentResult(
@@ -57,7 +56,6 @@ def run(
             "alpha": alpha,
             "group_sizes": list(group_sizes),
             "objectives": [objective.describe() for objective in objectives],
-            "backend": backend,
         },
     )
     for n in group_sizes:
@@ -65,7 +63,7 @@ def run(
             baseline_value = None
             for label, properties in PROPERTY_LADDER:
                 mechanism = design_mechanism(
-                    n=n, alpha=alpha, properties=properties, objective=objective, backend=backend
+                    n=n, alpha=alpha, properties=properties, objective=objective
                 )
                 value = objective_value(mechanism, objective)
                 if baseline_value is None:

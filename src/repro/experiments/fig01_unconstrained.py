@@ -58,7 +58,6 @@ def most_popular_output_mass(mechanism: Mechanism) -> Tuple[int, float]:
 def run(
     alpha: float = FIGURE_ALPHA,
     cases: Optional[Sequence[Tuple[str, int, Objective]]] = None,
-    backend: str = "scipy",
     properties: Sequence[str] = (),
     include_heatmaps: bool = True,
 ) -> ExperimentResult:
@@ -77,7 +76,6 @@ def run(
         ),
         parameters={
             "alpha": alpha,
-            "backend": backend,
             "properties": sorted(prop.value for prop in parse_properties(properties)),
         },
     )
@@ -87,7 +85,6 @@ def run(
             alpha=alpha,
             properties=properties,
             objective=objective,
-            backend=backend,
             name=f"LP[{label}]",
         )
         popular_output, popular_mass = most_popular_output_mass(mechanism)

@@ -41,16 +41,15 @@ def _closed_form_l0(name: str, n: int, alpha: float) -> Optional[float]:
 def run(
     n: int = DEFAULT_GROUP_SIZE,
     alpha: float = DEFAULT_ALPHA,
-    backend: str = "scipy",
     mechanisms: Optional[Sequence[Mechanism]] = None,
 ) -> ExperimentResult:
     """Build GM, WM, EM, UM for (n, α) and tabulate properties and L0 scores."""
     result = ExperimentResult(
         experiment="figure-6",
         description="properties and L0 scores of the named mechanisms",
-        parameters={"n": n, "alpha": alpha, "backend": backend},
+        parameters={"n": n, "alpha": alpha},
     )
-    built = list(mechanisms) if mechanisms is not None else paper_mechanisms(n, alpha, backend=backend)
+    built = list(mechanisms) if mechanisms is not None else paper_mechanisms(n, alpha)
     gm_score, em_score = wm_l0_bounds(n, alpha)
     for mechanism in built:
         properties = check_all_properties(mechanism)

@@ -43,16 +43,15 @@ def diagonal_band_mass(mechanism: Mechanism, width: int = 1) -> float:
 def run(
     n: int = DEFAULT_GROUP_SIZE,
     alpha: float = DEFAULT_ALPHA,
-    backend: str = "scipy",
     include_heatmaps: bool = True,
 ) -> ExperimentResult:
     """Rebuild the Figure-7 mechanisms and report their mass distribution."""
     result = ExperimentResult(
         experiment="figure-7",
         description="probability-mass structure of GM, WM, EM (and UM) at small n",
-        parameters={"n": n, "alpha": alpha, "backend": backend},
+        parameters={"n": n, "alpha": alpha},
     )
-    for mechanism in paper_mechanisms(n, alpha, backend=backend):
+    for mechanism in paper_mechanisms(n, alpha):
         result.rows.append(
             {
                 "mechanism": mechanism.name,

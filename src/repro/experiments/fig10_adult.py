@@ -41,7 +41,6 @@ def run(
     num_records: Optional[int] = None,
     dataset: Optional[AdultDataset] = None,
     adult_csv_path: Optional[str] = None,
-    backend: str = "scipy",
     seed: Optional[int] = 2018,
 ) -> ExperimentResult:
     """Reproduce the Figure-10 pipeline on Adult-like data.
@@ -76,13 +75,12 @@ def run(
             "repetitions": repetitions,
             "num_records": dataset.num_records,
             "data_source": dataset.source,
-            "backend": backend,
         },
     )
     result.artefacts["target_rates"] = dataset.target_rates()
 
     for group_size in group_sizes:
-        mechanisms = paper_mechanisms(group_size, alpha, backend=backend)
+        mechanisms = paper_mechanisms(group_size, alpha)
         for target in targets:
             bits = dataset.target(target)
             workload = group_counts(bits, group_size, label=target, shuffle=True, rng=rng)

@@ -38,7 +38,6 @@ def run(
     repetitions: int = DEFAULT_REPETITIONS,
     population: int = DEFAULT_POPULATION,
     mechanisms: Sequence[str] = ("GM", "WM", "EM", "UM"),
-    backend: str = "scipy",
     seed: Optional[int] = 2018,
 ) -> ExperimentResult:
     """Sweep the Figure-11 grid and collect empirical L0,1 (and L0) rates."""
@@ -52,7 +51,6 @@ def run(
             "probabilities": probabilities,
             "repetitions": repetitions,
             "population": population,
-            "backend": backend,
         },
     )
     # Both metrics carry matrix kernels (and pickle into sweep workers), so
@@ -70,7 +68,6 @@ def run(
             num_groups=num_groups,
             metrics=metrics,
             seed=seed,
-            backend=backend,
         )
         result.rows.extend(swept.rows)
     return result

@@ -52,7 +52,6 @@ def run(
     distances: Optional[Sequence[int]] = None,
     repetitions: int = DEFAULT_REPETITIONS,
     population: int = DEFAULT_POPULATION,
-    backend: str = "scipy",
     seed: Optional[int] = 2018,
 ) -> ExperimentResult:
     """Sweep d for every (α, p) cell and record empirical and analytic tails."""
@@ -69,7 +68,6 @@ def run(
             "distances": distances,
             "repetitions": repetitions,
             "num_groups": num_groups,
-            "backend": backend,
         },
     )
     # The whole d-sweep is one metric family: evaluate_mechanism answers
@@ -77,7 +75,7 @@ def run(
     # matrix instead of one metric call per (repetition, d).
     metrics = distance_metrics(distances)
     for alpha in alphas:
-        mechanisms = paper_mechanisms(group_size, alpha, backend=backend)
+        mechanisms = paper_mechanisms(group_size, alpha)
         for probability in probabilities:
             counts = binomial_group_counts(num_groups, group_size, probability, rng=rng)
             workload = GroupedCounts(counts=counts, group_size=group_size, label=f"p={probability}")

@@ -40,7 +40,6 @@ def run(
     repetitions: int = DEFAULT_REPETITIONS,
     population: int = DEFAULT_POPULATION,
     mechanisms: Sequence[str] = ("GM", "WM", "EM", "UM"),
-    backend: str = "scipy",
     seed: Optional[int] = 2018,
 ) -> ExperimentResult:
     """Sweep the Figure-13 grid and collect empirical and analytic RMSE."""
@@ -54,7 +53,6 @@ def run(
             "probabilities": probabilities,
             "repetitions": repetitions,
             "population": population,
-            "backend": backend,
         },
     )
     for group_size in group_sizes:
@@ -70,7 +68,6 @@ def run(
             # per cell, parallelisable via --max-workers.
             metrics={"rmse": root_mean_square_error},
             seed=seed,
-            backend=backend,
         )
         result.rows.extend(swept.rows)
 
@@ -79,7 +76,7 @@ def run(
     analytic = {}
     for alpha in alphas:
         for group_size in group_sizes:
-            built = {m.name: m for m in paper_mechanisms(group_size, alpha, backend=backend)}
+            built = {m.name: m for m in paper_mechanisms(group_size, alpha)}
             for probability in probabilities:
                 prior = binomial_prior(group_size, probability)
                 for name, mechanism in built.items():

@@ -5,17 +5,14 @@ PyLPSolve (a wrapper around ``lp_solve``).  That dependency is not available
 here, so this package provides an equivalent substrate:
 
 * :mod:`repro.lp.model` — a small modelling layer (:class:`LinearProgram`)
-  for declaring variables, linear constraints and a linear objective.
-* :mod:`repro.lp.simplex` — a pure-NumPy two-phase dense simplex solver
-  (Bland's rule), useful for verification and for environments without
-  SciPy.
-* :mod:`repro.lp.scipy_backend` — a backend delegating to
-  ``scipy.optimize.linprog`` (HiGHS), the default for speed.
-* :mod:`repro.lp.solver` — backend dispatch and the :class:`LPSolution`
-  result type.
+  for declaring variables, linear constraints and a linear objective, with
+  sparse (CSR) and dense array exports.
+* :mod:`repro.lp.scipy_backend` — the solver: ``scipy.optimize.linprog``
+  with HiGHS, fed the sparse export directly.
+* :mod:`repro.lp.solver` — :func:`solve` plus the :class:`LPSolution`
+  result type and the post-solve feasibility check.
 
-The two backends solve identical programs; the test-suite cross-checks them
-against each other and against the paper's closed forms.
+The test-suite checks the optima against the paper's closed forms.
 """
 
 from repro.lp.model import (
@@ -35,7 +32,6 @@ from repro.lp.solver import (
     LPSolution,
     LPStatus,
     LPUnboundedError,
-    available_backends,
     solve,
 )
 
@@ -54,6 +50,5 @@ __all__ = [
     "LPSolution",
     "LPStatus",
     "LPUnboundedError",
-    "available_backends",
     "solve",
 ]

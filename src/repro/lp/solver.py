@@ -1,22 +1,15 @@
-"""Backend dispatch for solving :class:`~repro.lp.model.LinearProgram` objects."""
+"""Solving :class:`~repro.lp.model.LinearProgram` objects with SciPy/HiGHS."""
 
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.lp import scipy_backend, simplex
-from repro.lp.model import LinearProgram, ObjectiveSense
-
-#: Names of the available solver backends, in priority order.
-BACKENDS: Tuple[str, ...] = ("scipy", "simplex")
-
-#: Default backend used when none is specified.
-DEFAULT_BACKEND = "scipy"
+from repro.lp import scipy_backend
+from repro.lp.model import LinearProgram
 
 #: Number of times :func:`solve` has run in this process.  The serving
 #: layer's :class:`~repro.serving.cache.DesignCache` tests use this counter
@@ -26,7 +19,7 @@ _SOLVE_CALLS = 0
 
 
 def solve_call_count() -> int:
-    """How many LP solves have run in this process (any backend)."""
+    """How many LP solves have run in this process."""
     return _SOLVE_CALLS
 
 
@@ -77,18 +70,9 @@ class LPSolution:
     status: LPStatus
     values: np.ndarray
     objective: float
-    backend: str
     iterations: int = 0
     message: str = ""
     variable_names: Optional[Tuple[str, ...]] = field(default=None, repr=False)
-    #: Optimal basis in standard-form column indices (simplex backend only).
-    #: Entries ``>= num_structural_columns`` mark artificial variables kept
-    #: basic at zero on redundant rows; :mod:`repro.lp.simplex` knows how to
-    #: re-import them.  ``None`` for backends without a basis interface
-    #: (scipy/HiGHS exposes none through ``linprog``).
-    basis: Optional[Tuple[int, ...]] = field(default=None, repr=False)
-    #: True when this solve skipped phase 1 by starting from a prior basis.
-    warm_started: bool = False
 
     def __post_init__(self) -> None:
         self._by_name_cache: Optional[Dict[str, float]] = None
@@ -117,34 +101,29 @@ class LPSolution:
         duplicate name-to-value mapping, so the payload carries each solution
         value exactly once.
         """
-        payload: Dict[str, object] = {
+        return {
             "status": self.status.value,
             "values": [float(v) for v in self.values],
             "objective": float(self.objective),
-            "backend": self.backend,
             "iterations": int(self.iterations),
             "message": self.message,
             "variable_names": list(self.variable_names or ()),
         }
-        if self.basis is not None:
-            payload["basis"] = [int(i) for i in self.basis]
-        if self.warm_started:
-            payload["warm_started"] = True
-        return payload
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "LPSolution":
-        """Inverse of :meth:`to_dict` (also reads the legacy ``by_name`` form)."""
+        """Inverse of :meth:`to_dict`.
+
+        Also reads older payloads: the legacy ``by_name`` form, and the
+        ``backend``/``basis``/``warm_started`` keys, which are ignored.
+        """
         solution = cls(
             status=LPStatus(str(payload["status"])),
             values=np.asarray(payload["values"], dtype=float),
             objective=float(payload["objective"]),  # type: ignore[arg-type]
-            backend=str(payload["backend"]),
             iterations=int(payload.get("iterations", 0)),  # type: ignore[arg-type]
             message=str(payload.get("message", "")),
             variable_names=tuple(str(name) for name in payload.get("variable_names", ())) or None,
-            basis=tuple(int(i) for i in payload["basis"]) if payload.get("basis") else None,
-            warm_started=bool(payload.get("warm_started", False)),
         )
         if solution.variable_names is None and "by_name" in payload:
             solution._by_name_cache = {
@@ -154,131 +133,53 @@ class LPSolution:
         return solution
 
 
-def available_backends() -> Tuple[str, ...]:
-    """Names of solver backends that can be used with :func:`solve`."""
-    return BACKENDS
-
-
-def warm_start_enabled() -> bool:
-    """Whether LP warm-starting is allowed in this process.
-
-    ``REPRO_NO_WARMSTART=1`` (any value other than empty or ``"0"``) disables
-    warm-starting everywhere, keeping every solve byte-identical to the cold
-    two-phase path regardless of what callers pass for ``warm_start``.
-    """
-    return os.environ.get("REPRO_NO_WARMSTART", "") in ("", "0")
-
-
 def solve(
     program: LinearProgram,
-    backend: str = DEFAULT_BACKEND,
     tolerance: float = 1e-9,
     max_iterations: Optional[int] = None,
     check: bool = True,
-    sparse: Optional[bool] = None,
-    warm_start: Optional[Sequence[int]] = None,
+    sparse: bool = True,
 ) -> LPSolution:
-    """Solve a linear program and return an :class:`LPSolution`.
+    """Solve a linear program with SciPy/HiGHS and return an :class:`LPSolution`.
 
     Parameters
     ----------
     program:
         The program to solve.
-    backend:
-        ``"scipy"`` (default, HiGHS) or ``"simplex"`` (pure-NumPy two-phase
-        simplex).
     tolerance:
-        Numerical tolerance used by the simplex backend and by the optional
-        feasibility check.
+        Numerical tolerance of the optional feasibility check.
     max_iterations:
-        Optional iteration cap for the chosen backend.
+        Optional iteration cap for HiGHS.
     check:
         When true (default), verify that the returned point satisfies every
         constraint of the original program to within ``100 * tolerance`` and
         raise :class:`LPError` otherwise.
     sparse:
-        Whether to export the constraint matrices in SciPy CSR form rather
-        than densifying them.  Defaults to ``True`` for the scipy backend
-        (HiGHS consumes sparse matrices natively) and is ignored by the
-        dense-only simplex backend.
-    warm_start:
-        Optional standard-form basis from a previous ``simplex`` solve of a
-        structurally identical program (same shape after
-        ``to_standard_form``; typically a neighbouring ``alpha``).  When the
-        basis is still primal-feasible, phase 1 is skipped entirely.  The
-        result is verified like any other solve; if a warm-started solve
-        fails its feasibility check the cold path re-runs automatically, so
-        a stale basis can never change the answer.  Ignored by the scipy
-        backend (``linprog`` exposes no basis interface) and disabled
-        globally by ``REPRO_NO_WARMSTART=1``.
+        Whether to export the constraint matrices in SciPy CSR form (the
+        default; HiGHS consumes sparse matrices natively) rather than as
+        dense arrays.
 
     Raises
     ------
     LPInfeasibleError, LPUnboundedError, LPError
         On the corresponding failure modes.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown LP backend {backend!r}; available: {BACKENDS}")
     global _SOLVE_CALLS
     _SOLVE_CALLS += 1
-    if sparse is None:
-        sparse = backend == "scipy"
-    if warm_start is not None and (backend != "simplex" or not warm_start_enabled()):
-        warm_start = None
-
-    basis: Optional[Tuple[int, ...]] = None
-    warm_started = False
-    if backend == "scipy":
-        arrays = program.to_sparse_arrays() if sparse else program.to_standard_arrays()
-        raw = scipy_backend.solve_general_form(
-            arrays["c"],
-            arrays["A_ub"],
-            arrays["b_ub"],
-            arrays["A_eq"],
-            arrays["b_eq"],
-            arrays["lower"],
-            arrays["upper"],
-            tolerance=tolerance,
-            max_iterations=max_iterations,
-        )
-        status_text = str(raw["status"])
-        x = raw["x"]
-        iterations = int(raw["iterations"])  # type: ignore[arg-type]
-        message = str(raw["message"])
-    else:
-        arrays = program.to_standard_arrays()
-        result = simplex.solve_general_form(
-            arrays["c"],
-            arrays["A_ub"],
-            arrays["b_ub"],
-            arrays["A_eq"],
-            arrays["b_eq"],
-            arrays["lower"],
-            arrays["upper"],
-            tolerance=tolerance,
-            max_iterations=max_iterations,
-            warm_basis=warm_start,
-        )
-        status_text = result.status
-        x = result.x
-        iterations = result.iterations
-        message = result.message
-        warm_started = bool(result.warm_started)
-        if result.basis is not None:
-            basis = tuple(int(i) for i in result.basis)
-
-    if warm_started and (status_text != "optimal" or x is None):
-        # Verification gate, part 1: a warm-started solve that did not reach
-        # a clean optimum falls back to the cold two-phase path instead of
-        # surfacing the failure — a stale basis must never change behaviour.
-        return solve(
-            program,
-            backend=backend,
-            tolerance=tolerance,
-            max_iterations=max_iterations,
-            check=check,
-            sparse=sparse,
-        )
+    arrays = program.to_sparse_arrays() if sparse else program.to_standard_arrays()
+    raw = scipy_backend.solve_general_form(
+        arrays["c"],
+        arrays["A_ub"],
+        arrays["b_ub"],
+        arrays["A_eq"],
+        arrays["b_eq"],
+        arrays["lower"],
+        arrays["upper"],
+        max_iterations=max_iterations,
+    )
+    status_text = str(raw["status"])
+    x = raw["x"]
+    message = str(raw["message"])
 
     if status_text == "infeasible":
         raise LPInfeasibleError(f"{program.summary()}: infeasible ({message})")
@@ -291,19 +192,8 @@ def solve(
     if check:
         violations = program.violated_constraints(values, tolerance=max(1e-6, 100 * tolerance))
         if violations:
-            if warm_started:
-                # Verification gate, part 2: an infeasible warm-started point
-                # means the imported basis was stale — re-solve cold.
-                return solve(
-                    program,
-                    backend=backend,
-                    tolerance=tolerance,
-                    max_iterations=max_iterations,
-                    check=check,
-                    sparse=sparse,
-                )
             raise LPError(
-                f"{program.summary()}: backend {backend!r} returned an infeasible point; "
+                f"{program.summary()}: HiGHS returned an infeasible point; "
                 f"violated: {violations[:5]}"
             )
 
@@ -312,10 +202,7 @@ def solve(
         status=LPStatus.OPTIMAL,
         values=values,
         objective=objective,
-        backend=backend,
-        iterations=iterations,
+        iterations=int(raw["iterations"]),  # type: ignore[arg-type]
         message=message,
         variable_names=program.variable_names(),
-        basis=basis,
-        warm_started=warm_started,
     )

@@ -11,9 +11,8 @@ configurations — needs neither repeated: this package adds
   touch the LP solver; its persistent tier is
 * :class:`~repro.serving.registry.PlanRegistry` — one WAL-mode sqlite
   artifact store per cache directory, safe for concurrent multi-process
-  readers and a writer, with per-row checksums, schema versioning and a
-  ``(n, alpha)`` index that feeds LP warm-starting (a cold miss starts the
-  simplex from its nearest cached neighbour's optimal basis);
+  readers and a writer, with per-row checksums, schema versioning and an
+  alpha-axis index behind its nearest-neighbour query;
 * :func:`~repro.serving.warm.warm_grid` — the offline grid precompiler
   behind ``repro-mechanisms warm``, which fills a registry so a freshly
   started daemon serves every grid point with zero LP solves;

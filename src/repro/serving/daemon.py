@@ -87,7 +87,7 @@ from repro.engine.durability import (
     datasync as _datasync,
 )
 from repro.engine.plan import ReleasePlan
-from repro.lp.solver import DEFAULT_BACKEND, solve_call_count
+from repro.lp.solver import solve_call_count
 from repro.privacy import BudgetExceededError, PrivacyAccountant
 from repro.serving.cache import DesignCache, design_key
 from repro.serving.protocol import (
@@ -257,9 +257,9 @@ class ServingDaemon:
         whole serving runs are reproducible.  A durable daemon pins this
         into each tenant ledger; restarting with a different seed rejects
         the affected tenants instead of silently forking their streams.
-    cache / cache_dir / cache_size / backend:
+    cache / cache_dir / cache_size:
         The shared :class:`~repro.serving.cache.DesignCache` (or the
-        parameters to build one) and the LP backend for cold designs.
+        parameters to build one).
     state_dir:
         Durable-mode root (``--state-dir``): per-tenant budget ledgers live
         under ``<state_dir>/tenants/``; construction replays them (see
@@ -290,7 +290,6 @@ class ServingDaemon:
         cache: Optional[DesignCache] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         cache_size: int = 128,
-        backend: str = DEFAULT_BACKEND,
         state_dir: Optional[Union[str, Path]] = None,
         request_timeout: Optional[float] = None,
         client_timeout: Optional[float] = None,
@@ -324,7 +323,6 @@ class ServingDaemon:
         self.max_tenants = int(max_tenants)
         self.budget_alpha = budget_alpha
         self.seed = seed
-        self.backend = backend
         self.request_timeout = (
             None if request_timeout is None else float(request_timeout)
         )
@@ -519,9 +517,7 @@ class ServingDaemon:
     def _plan_for(self, command: ReleaseCommand) -> ReleasePlan:
         """The shared compiled plan for a design request (one per key)."""
         try:
-            key = design_key(
-                command.n, command.alpha, command.properties, None, self.backend
-            )
+            key = design_key(command.n, command.alpha, command.properties)
         except ValueError as error:  # unknown property code
             raise ProtocolError(str(error)) from error
         plan = self._plans.get(key)
@@ -531,7 +527,6 @@ class ServingDaemon:
                     command.n,
                     command.alpha,
                     properties=command.properties,
-                    backend=self.backend,
                 )
             except ValueError as error:
                 raise ProtocolError(str(error)) from error

@@ -17,11 +17,10 @@ store: a single WAL-mode sqlite file that is
 * **versioned** — the schema version is pinned in a ``meta`` table; a
   registry written by a future incompatible version is refused loudly
   (:class:`RegistryVersionError`) instead of being misread;
-* **indexed for warm-starting** — rows are keyed by the canonical design
-  key but also indexed on ``(n, props, objective, backend, alpha)`` so a
-  cold ``(n, alpha)`` miss can find its nearest cached neighbour on the
-  alpha axis and warm-start the simplex from that neighbour's optimal
-  basis (see :mod:`repro.lp.simplex`).
+* **indexed on the alpha axis** — rows are keyed by the canonical design
+  key but also indexed on ``(n, props, objective, backend, alpha)``, so
+  :meth:`PlanRegistry.nearest` finds the cached neighbour of a design
+  nearest in ``alpha`` (the hook for an LP warm start).
 
 Legacy ``design-*.json`` files found next to the sqlite file are imported
 once, on first open (the loose files are left untouched), so existing
@@ -50,6 +49,12 @@ SCHEMA_VERSION = 1
 
 #: Filename of the registry artifact inside a cache directory.
 REGISTRY_FILENAME = "registry.sqlite"
+
+#: The solver tag every design key ends in (``...|backend=scipy``) and the
+#: value of every row's ``backend`` column.  HiGHS is the only solver; the
+#: tag stays so registries written when it selected one of two solvers keep
+#: their keys and keep serving hits.
+KEY_BACKEND = "scipy"
 
 #: How many nearest-neighbour candidate rows to inspect before giving up
 #: (a corrupt candidate is deleted and the next one tried).
@@ -232,17 +237,15 @@ class PlanRegistry:
         n: int,
         props: str,
         objective: str,
-        backend: str,
         alpha: float,
         exclude_key: Optional[str] = None,
     ) -> Optional[Tuple[float, Dict[str, Any]]]:
         """The cached neighbour closest to ``alpha`` on the same design axis.
 
-        Searches the ``(n, props, objective, backend)`` index for the row
-        whose ``alpha`` is nearest the requested one — the candidate whose
-        optimal basis the simplex warm-start tries first.  Corrupt
-        candidates are deleted and the next-nearest tried.  Returns
-        ``(neighbour_alpha, entry)`` or ``None``.
+        Searches the ``(n, props, objective)`` index for the
+        :data:`KEY_BACKEND` row whose ``alpha`` is nearest the requested
+        one.  Corrupt candidates are deleted and the next-nearest tried.
+        Returns ``(neighbour_alpha, entry)`` or ``None``.
         """
         with self._lock:
             rows = self._conn.execute(
@@ -253,7 +256,7 @@ class PlanRegistry:
                     int(n),
                     props,
                     objective,
-                    backend,
+                    KEY_BACKEND,
                     exclude_key or "",
                     float(alpha),
                     _NEIGHBOUR_CANDIDATES,

@@ -27,9 +27,8 @@ front-end served the traffic:
     }
 
 The ``cache`` sub-object's registry keys: ``warm_attempts`` /
-``warm_hits`` / ``warm_fallbacks`` count cold simplex misses that tried a
-nearest-neighbour warm start, those whose basis was accepted (phase 1
-skipped), and those that fell back to the cold path; ``corrupt_rows``
+``warm_hits`` / ``warm_fallbacks`` are reserved for an LP warm start
+and read 0, since no solve is warm-started; ``corrupt_rows``
 counts registry rows dropped on checksum/shape failure (each became a
 re-solve); ``imported_legacy`` counts loose ``design-*.json`` entries
 migrated on first open; ``tiers`` breaks requests down by serving tier

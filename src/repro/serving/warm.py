@@ -7,11 +7,8 @@ started daemon (or any later process pointed at the same ``--cache-dir``)
 serves the whole grid with **zero LP solves**.
 
 The grid fans out process-parallel with the same worker discipline as the
-figure sweeps: one task per ``(n, properties)`` group, because points in a
-group share a standard-form layout and can chain LP warm starts — each
-alpha is solved from the previous alpha's optimal basis, so only the first
-point of a group pays a phase-1 solve.  Workers return plain entry dicts;
-the parent process is the registry's single writer.
+figure sweeps: one task per ``(n, properties)`` group.  Workers return
+plain entry dicts; the parent process is the registry's single writer.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ import time
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.core.losses import Objective
-from repro.lp.solver import DEFAULT_BACKEND
 from repro.serving.cache import _decision_to_dict, design_key
 from repro.serving.registry import PlanRegistry
 
@@ -66,7 +62,7 @@ def parse_grid(tokens: Sequence[str]) -> Dict[str, List[Any]]:
 
 
 def _warm_group_task(task: Mapping[str, Any]) -> List[Dict[str, Any]]:
-    """Solve one ``(n, props)`` group's alphas, chaining warm starts.
+    """Solve one ``(n, props)`` group's alphas.
 
     Module-level so :func:`warm_grid` tasks can pickle.  Returns the entry
     dicts in alpha order; the parent writes them into the registry.
@@ -75,13 +71,11 @@ def _warm_group_task(task: Mapping[str, Any]) -> List[Dict[str, Any]]:
 
     n = int(task["n"])
     props = task["props"]
-    backend = task["backend"]
     objective = task["objective"]
     skip = set(task["skip"])
     entries: List[Dict[str, Any]] = []
-    warm_basis: Optional[List[int]] = None
     for alpha in sorted(task["alphas"]):
-        key = design_key(n, alpha, props, objective, backend)
+        key = design_key(n, alpha, props, objective)
         if key in skip:
             continue
         mechanism, decision = choose_mechanism(
@@ -89,8 +83,6 @@ def _warm_group_task(task: Mapping[str, Any]) -> List[Dict[str, Any]]:
             alpha,
             properties=None if props == "none" else props,
             objective=objective,
-            backend=backend,
-            warm_start=warm_basis,
         )
         entries.append(
             {
@@ -99,9 +91,6 @@ def _warm_group_task(task: Mapping[str, Any]) -> List[Dict[str, Any]]:
                 "decision": _decision_to_dict(decision),
             }
         )
-        basis = mechanism.metadata.get("lp_basis")
-        if basis:
-            warm_basis = [int(i) for i in basis]
     return entries
 
 
@@ -111,7 +100,6 @@ def warm_grid(
     alphas: Iterable[float],
     props_list: Iterable[str] = ("WH+CM",),
     objective: Optional[Objective] = None,
-    backend: str = DEFAULT_BACKEND,
     max_workers: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Precompile a design grid into ``directory``'s plan registry.
@@ -135,7 +123,7 @@ def warm_grid(
                 group_skip = []
                 for alpha in alphas:
                     total += 1
-                    key = design_key(n, alpha, props, objective, backend)
+                    key = design_key(n, alpha, props, objective)
                     if key in registry:
                         skipped += 1
                         group_skip.append(key)
@@ -147,7 +135,6 @@ def warm_grid(
                         "props": props,
                         "alphas": alphas,
                         "objective": objective,
-                        "backend": backend,
                         "skip": group_skip,
                     }
                 )
@@ -159,19 +146,15 @@ def warm_grid(
             with ProcessPoolExecutor(max_workers=int(max_workers)) as pool:
                 results = list(pool.map(_warm_group_task, tasks))
         solved = 0
-        warm_started = 0
         for entries in results:
             for entry in entries:
                 registry.put(entry["key"], entry)
                 solved += 1
-                if entry["mechanism"].get("metadata", {}).get("lp_warm_started"):
-                    warm_started += 1
         stored = len(registry)
     return {
         "grid_points": total,
         "solved": solved,
         "skipped": skipped,
-        "warm_started": warm_started,
         "registry_entries": stored,
         "seconds": time.perf_counter() - started,
     }

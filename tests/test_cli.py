@@ -23,6 +23,47 @@ class TestParser:
         assert args.command == "design"
         assert args.n == 8 and args.alpha == 0.9 and args.properties == "F"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["design", "--n", "4", "--alpha", "0.9"],
+            ["compare", "--n", "4", "--alpha", "0.9"],
+            ["serve-batch"],
+            ["serve-stream", "--n", "4", "--alpha", "0.9"],
+            ["serve"],
+            ["warm", "--cache-dir", "d", "--grid", "n=4", "alpha=0.9"],
+        ],
+    )
+    def test_backend_flag_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--backend", "simplex"])
+        assert "unrecognized arguments: --backend simplex" in capsys.readouterr().err
+
+
+class TestBadInputExitsCleanly:
+    """Bad input ends in SystemExit with the message, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["design", "--n", "4", "--alpha", "0.9", "--properties", "XX"],
+             "unknown structural property"),
+            (["design", "--n", "4", "--alpha", "0.9", "--properties", "XX", "--use-selector"],
+             "unknown structural property"),
+            (["compare", "--n", "0", "--alpha", "0.9"], "positive integer"),
+            (["compare", "--n", "4", "--alpha", "1.5"], "alpha must lie in [0, 1]"),
+            (["release", "--mechanism", "XX", "--n", "4", "--alpha", "0.5", "--counts", "1"],
+             "unknown mechanism 'XX'"),
+            (["release", "--mechanism", "GM", "--n", "4", "--alpha", "1.5", "--counts", "1"],
+             "alpha must lie in [0, 1]"),
+        ],
+    )
+    def test_message_not_traceback(self, argv, message):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert isinstance(raised.value.code, str)
+        assert message in raised.value.code
+
 
 class TestDesignCommand:
     def test_design_prints_profile(self, capsys):

@@ -2,8 +2,8 @@
 
 These cover the paper's structural theorems: the unconstrained L0 optimum is
 GM (Theorem 3), the fair optimum matches EM's cost (Theorem 4 / Lemma 4),
-constrained optima always satisfy their constraints, and the two LP backends
-agree.
+constrained optima always satisfy their constraints, and weakly honest
+optima lie between GM's and EM's closed-form costs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.core.properties import (
     parse_properties,
     satisfies_all,
 )
-from repro.core.theory import em_l0_score, gm_l0_score
+from repro.core.theory import em_l0_score, gm_l0_score, wm_l0_bounds
 from repro.mechanisms.geometric import geometric_mechanism
 
 
@@ -76,15 +76,17 @@ class TestConstrainedDesign:
         assert constrained.diagonal.min() > 0.01
 
 
-class TestBackendsAgree:
-    @pytest.mark.parametrize("properties", [(), "WH", "F", "WH+CM"])
-    def test_simplex_and_scipy_same_objective(self, properties):
-        scipy_value = optimal_objective_value(4, 0.75, properties=properties, backend="scipy")
-        simplex_value = optimal_objective_value(4, 0.75, properties=properties, backend="simplex")
-        assert scipy_value == pytest.approx(simplex_value, abs=1e-7)
+class TestClosedFormOptima:
+    @pytest.mark.parametrize("properties", ["WH", "WH+CM"])
+    def test_weakly_honest_optimum_between_gm_and_em(self, properties):
+        # Section IV-D's sandwich L0(GM) <= L0(LP[WH]) <= L0(EM).
+        n, alpha = 4, 0.75
+        low, high = wm_l0_bounds(n, alpha)
+        value = l0_score(design_mechanism(n, alpha, properties=properties))
+        assert low - 1e-7 <= value <= high + 1e-7
 
-    def test_simplex_backend_produces_valid_mechanism(self):
-        mechanism = design_mechanism(3, 0.9, properties="all", backend="simplex")
+    def test_fully_constrained_design_is_valid(self):
+        mechanism = design_mechanism(3, 0.9, properties="all")
         assert all(check_all_properties(mechanism, tolerance=1e-6).values())
         assert mechanism.max_alpha() >= 0.9 - 1e-6
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.theory import em_l0_score, wm_l0_bounds
 from repro.data.adult import generate_adult_like
 from repro.data.groups import group_counts
 from repro.data.synthetic import binomial_group_counts
@@ -108,20 +109,20 @@ class TestLocalDifferentialPrivacyScenario:
         assert np.allclose(lp.matrix, rr.matrix, atol=1e-7)
 
 
-class TestCrossBackendConsistency:
-    """The two LP backends must be interchangeable in the whole pipeline."""
+class TestClosedFormConsistency:
+    """LP designs through the public API match the paper's closed forms."""
 
-    @pytest.mark.parametrize("properties", ["WH", "WH+CM", "F"])
-    def test_backends_produce_equivalent_mechanisms(self, properties):
-        scipy_mechanism = repro.design_mechanism(4, 0.85, properties=properties, backend="scipy")
-        simplex_mechanism = repro.design_mechanism(
-            4, 0.85, properties=properties, backend="simplex"
-        )
-        assert repro.l0_score(scipy_mechanism) == pytest.approx(
-            repro.l0_score(simplex_mechanism), abs=1e-7
-        )
-        for mechanism in (scipy_mechanism, simplex_mechanism):
-            assert repro.satisfies_differential_privacy(mechanism, 0.85, tolerance=1e-6)
+    @pytest.mark.parametrize("properties", ["WH", "WH+CM"])
+    def test_weakly_honest_designs_between_gm_and_em(self, properties):
+        mechanism = repro.design_mechanism(4, 0.85, properties=properties)
+        low, high = wm_l0_bounds(4, 0.85)
+        assert low - 1e-7 <= repro.l0_score(mechanism) <= high + 1e-7
+        assert repro.satisfies_differential_privacy(mechanism, 0.85, tolerance=1e-6)
+
+    def test_fair_design_costs_em(self):
+        mechanism = repro.design_mechanism(4, 0.85, properties="F")
+        assert repro.l0_score(mechanism) == pytest.approx(em_l0_score(4, 0.85), abs=1e-7)
+        assert repro.satisfies_differential_privacy(mechanism, 0.85, tolerance=1e-6)
 
 
 class TestSerialisationWorkflow:

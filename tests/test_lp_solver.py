@@ -1,4 +1,4 @@
-"""Tests for the LP solver dispatch layer (repro.lp.solver)."""
+"""Tests for the LP solver layer (repro.lp.solver)."""
 
 from __future__ import annotations
 
@@ -7,13 +7,10 @@ import pytest
 
 from repro.lp.model import LinearProgram
 from repro.lp.solver import (
-    BACKENDS,
-    LPError,
     LPInfeasibleError,
     LPSolution,
     LPStatus,
     LPUnboundedError,
-    available_backends,
     solve,
 )
 
@@ -30,22 +27,15 @@ def _knapsack_lp() -> LinearProgram:
     return lp
 
 
-class TestSolveDispatch:
-    def test_available_backends(self):
-        assert available_backends() == BACKENDS
-        assert "scipy" in BACKENDS and "simplex" in BACKENDS
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_maximisation_reported_in_original_sense(self, backend):
-        solution = solve(_knapsack_lp(), backend=backend)
+class TestSolve:
+    def test_maximisation_reported_in_original_sense(self):
+        solution = solve(_knapsack_lp())
         assert solution.status is LPStatus.OPTIMAL
         assert solution.objective == pytest.approx(36.0)
-        assert solution.backend == backend
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_solution_lookup_by_name_and_variable(self, backend):
+    def test_solution_lookup_by_name_and_variable(self):
         lp = _knapsack_lp()
-        solution = solve(lp, backend=backend)
+        solution = solve(lp)
         assert solution["x"] == pytest.approx(2.0, abs=1e-7)
         assert solution.value_of(lp.variable_by_name("y")) == pytest.approx(6.0, abs=1e-7)
 
@@ -56,36 +46,30 @@ class TestSolveDispatch:
         solution = solve(lp)
         assert solution.objective == pytest.approx(11.0)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            solve(_knapsack_lp(), backend="gurobi")
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_infeasible_raises(self, backend):
+    def test_infeasible_raises(self):
         lp = LinearProgram()
         x = lp.add_variable("x")
         lp.add_constraint({x: 1.0}, "<=", 1.0)
         lp.add_constraint({x: 1.0}, ">=", 2.0)
         lp.set_objective({x: 1.0})
         with pytest.raises(LPInfeasibleError):
-            solve(lp, backend=backend)
+            solve(lp)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_unbounded_raises(self, backend):
+    def test_unbounded_raises(self):
         lp = LinearProgram()
         x = lp.add_variable("x")
         lp.set_objective({x: 1.0}, sense="max")
         with pytest.raises(LPUnboundedError):
-            solve(lp, backend=backend)
+            solve(lp)
 
-    def test_backends_agree_on_equality_problem(self):
+    def test_equality_problem_optimum(self):
+        # x + y = 1.2 with both in [0, 1]: put all the slack on the cheap x.
         lp = LinearProgram()
         x = lp.add_variable("x", upper=1.0)
         y = lp.add_variable("y", upper=1.0)
         lp.add_constraint({x: 1.0, y: 1.0}, "==", 1.2)
         lp.set_objective({x: 1.0, y: 3.0}, sense="min")
-        values = [solve(lp, backend=backend).objective for backend in BACKENDS]
-        assert values[0] == pytest.approx(values[1], abs=1e-8)
+        assert solve(lp).objective == pytest.approx(1.0 + 3 * 0.2, abs=1e-8)
 
     def test_feasibility_check_runs(self):
         # The returned point of a healthy solve always passes the check.
@@ -103,8 +87,8 @@ class TestSparseSolvePath:
 
     def test_sparse_and_dense_exports_reach_identical_solutions(self):
         program = self._program()
-        sparse_solution = solve(program, backend="scipy", sparse=True)
-        dense_solution = solve(program, backend="scipy", sparse=False)
+        sparse_solution = solve(program, sparse=True)
+        dense_solution = solve(program, sparse=False)
         assert np.array_equal(sparse_solution.values, dense_solution.values)
         assert sparse_solution.objective == pytest.approx(dense_solution.objective)
 
@@ -125,59 +109,47 @@ class TestSparseSolvePath:
         assert restored.by_name == pytest.approx(solution.by_name)
 
 
-class TestWarmStartDispatch:
-    """solve(warm_start=...): gating, fallback and basis serialisation."""
-
-    def test_simplex_reports_a_basis_and_scipy_does_not(self):
-        lp = _knapsack_lp()
-        via_simplex = solve(lp, backend="simplex")
-        assert via_simplex.basis is not None
-        assert not via_simplex.warm_started
-        via_scipy = solve(lp, backend="scipy")
-        assert via_scipy.basis is None
-
-    def test_warm_start_same_objective(self):
-        lp = _knapsack_lp()
-        seed = solve(lp, backend="simplex")
-        warm = solve(lp, backend="simplex", warm_start=seed.basis)
-        assert warm.warm_started
-        assert warm.iterations == 0  # same program: the basis is optimal
-        assert warm.objective == pytest.approx(seed.objective, abs=1e-12)
-
-    def test_scipy_ignores_warm_start(self):
-        lp = _knapsack_lp()
-        seed = solve(lp, backend="simplex")
-        result = solve(lp, backend="scipy", warm_start=seed.basis)
-        assert result.status is LPStatus.OPTIMAL
-        assert not result.warm_started
-
-    def test_env_opt_out_forces_the_cold_path(self, monkeypatch):
-        lp = _knapsack_lp()
-        seed = solve(lp, backend="simplex")
-        monkeypatch.setenv("REPRO_NO_WARMSTART", "1")
-        cold = solve(lp, backend="simplex", warm_start=seed.basis)
-        assert not cold.warm_started
-        reference = solve(lp, backend="simplex")
-        assert cold.iterations == reference.iterations
-        np.testing.assert_array_equal(cold.values, reference.values)
-
-    def test_garbage_warm_start_falls_back(self):
-        lp = _knapsack_lp()
-        reference = solve(lp, backend="simplex")
-        result = solve(lp, backend="simplex", warm_start=(0, 0, 0))
-        assert result.status is LPStatus.OPTIMAL
-        assert not result.warm_started
-        assert result.objective == pytest.approx(reference.objective, abs=1e-12)
-
-    def test_solution_round_trips_with_basis(self):
-        solution = solve(_knapsack_lp(), backend="simplex")
-        payload = solution.to_dict()
-        assert payload["basis"] == [int(i) for i in solution.basis]
+    def test_older_payloads_still_load(self):
+        # Payloads written when a second solver existed carry a backend tag
+        # and, from that solver, a basis and a warm-start flag.
+        solution = solve(_knapsack_lp())
+        payload = dict(
+            solution.to_dict(), backend="simplex", basis=[0, 1, 2], warm_started=True
+        )
         restored = LPSolution.from_dict(payload)
-        assert restored.basis == solution.basis
-        assert restored.warm_started == solution.warm_started
-        # Legacy payloads without the new keys keep loading.
-        del payload["basis"]
-        legacy = LPSolution.from_dict(payload)
-        assert legacy.basis is None
-        assert legacy.warm_started is False
+        np.testing.assert_array_equal(restored.values, solution.values)
+        assert restored.objective == solution.objective
+        assert restored.to_dict() == solution.to_dict()
+
+
+def test_no_function_takes_a_solver_choice():
+    """HiGHS is the only solver: nothing in the package selects or seeds one."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import repro
+
+    offenders = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            candidates = [obj]
+            if inspect.isclass(obj):
+                for member in vars(obj).values():
+                    if isinstance(member, (classmethod, staticmethod)):
+                        member = member.__func__
+                    if inspect.isfunction(member):
+                        candidates.append(member)
+            for candidate in candidates:
+                if not callable(candidate):
+                    continue
+                try:
+                    parameters = inspect.signature(candidate).parameters
+                except (TypeError, ValueError):
+                    continue
+                if {"backend", "warm_start"} & set(parameters):
+                    offenders.append(f"{module.__name__}.{getattr(candidate, '__qualname__', name)}")
+    assert offenders == []

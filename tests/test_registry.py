@@ -1,4 +1,4 @@
-"""The persistent plan registry: storage, recovery, concurrency, warm-starting.
+"""The persistent plan registry: storage, recovery, concurrency, grid warming.
 
 Covers the tentpole guarantees of :mod:`repro.serving.registry`:
 
@@ -8,8 +8,8 @@ Covers the tentpole guarantees of :mod:`repro.serving.registry`:
 * one-time import of legacy loose ``design-*.json`` directories;
 * concurrent multi-process readers during writes (WAL mode);
 * crash-mid-write atomicity via the existing ``FaultInjector`` sites;
-* the nearest-neighbour index behind LP warm-starting, and the
-  ``REPRO_NO_WARMSTART=1`` opt-out;
+* the nearest-neighbour query on the alpha axis;
+* design keys that stay byte-identical to registries already on disk;
 * the ``repro-mechanisms warm`` grid precompiler and its zero-LP-solve
   serving guarantee after a process restart.
 """
@@ -20,7 +20,6 @@ import json
 import multiprocessing
 import sqlite3
 
-import numpy as np
 import pytest
 
 from repro.cli import main
@@ -116,14 +115,40 @@ class TestPlanRegistry:
             assert len(registry) == 0
 
 
+#: ``design_key(12, 0.925, "WH+CM")`` as every earlier release wrote it.
+#: Registries on disk are keyed by these bytes, so the key must not change.
+PINNED_KEY = "n=12|alpha=0.925|props=CM+WH|obj=L0-default|backend=scipy"
+
+
 class TestParseDesignKey:
     def test_round_trip(self):
-        key = design_key(12, 0.925, properties="WH+CM", backend="simplex")
+        key = design_key(12, 0.925, properties="WH+CM")
         fields = parse_design_key(key)
         assert fields["n"] == 12
         assert fields["alpha"] == 0.925
         assert fields["props"] == "CM+WH"
-        assert fields["backend"] == "simplex"
+        assert fields["backend"] == "scipy"
+
+    def test_key_is_byte_identical_to_stored_registries(self):
+        assert design_key(12, 0.925, "WH+CM") == PINNED_KEY
+
+    def test_row_under_the_pinned_key_is_served_without_a_solve(self, tmp_path):
+        # Store a real design under the literal key, then serve it from a
+        # fresh cache: the lookup must hit that row, not re-solve.
+        source = DesignCache(directory=tmp_path / "source")
+        source.get_or_design(12, 0.925, properties="WH+CM")
+        row = source.registry.get(PINNED_KEY)
+        source.close()
+        assert row is not None
+        with PlanRegistry(tmp_path / "served") as registry:
+            registry.put(PINNED_KEY, row)
+        cache = DesignCache(directory=tmp_path / "served")
+        before = solve_call_count()
+        mechanism, _ = cache.get_or_design(12, 0.925, properties="CM+WH")
+        assert solve_call_count() == before
+        assert mechanism.metadata["design_cache"] == "disk"
+        assert mechanism.metadata["design_cache_key"] == PINNED_KEY
+        cache.close()
 
     def test_garbage_is_none(self):
         assert parse_design_key("garbage") is None
@@ -245,9 +270,9 @@ class TestNearestNeighbour:
     def test_nearest_on_the_alpha_axis(self, tmp_path):
         with PlanRegistry(tmp_path) as registry:
             for alpha in (0.5, 0.8, 0.95):
-                key = design_key(8, alpha, properties="WH+CM", backend="simplex")
+                key = design_key(8, alpha, properties="WH+CM")
                 registry.put(key, _entry(key, int(alpha * 100)))
-            hit = registry.nearest(8, "CM+WH", "L0-default", "simplex", 0.9)
+            hit = registry.nearest(8, "CM+WH", "L0-default", 0.9)
             assert hit is not None
             neighbour_alpha, entry = hit
             assert neighbour_alpha == 0.95
@@ -255,64 +280,37 @@ class TestNearestNeighbour:
 
     def test_nearest_skips_corrupt_and_excluded(self, tmp_path):
         with PlanRegistry(tmp_path) as registry:
-            near = design_key(8, 0.91, properties="WH+CM", backend="simplex")
-            far = design_key(8, 0.7, properties="WH+CM", backend="simplex")
+            near = design_key(8, 0.91, properties="WH+CM")
+            far = design_key(8, 0.7, properties="WH+CM")
             registry.put(near, _entry(near, 91))
             registry.put(far, _entry(far, 70))
             registry.corrupt_row(near)
-            hit = registry.nearest(8, "CM+WH", "L0-default", "simplex", 0.9)
+            hit = registry.nearest(8, "CM+WH", "L0-default", 0.9)
             assert hit is not None and hit[0] == 0.7
             assert registry.corrupt_rows == 1
             # Excluding the only remaining row finds nothing.
             assert (
-                registry.nearest(8, "CM+WH", "L0-default", "simplex", 0.9, exclude_key=far)
+                registry.nearest(8, "CM+WH", "L0-default", 0.9, exclude_key=far)
                 is None
             )
 
     def test_no_cross_group_neighbours(self, tmp_path):
         with PlanRegistry(tmp_path) as registry:
-            other = design_key(16, 0.9, properties="WH+CM", backend="simplex")
+            other = design_key(16, 0.9, properties="WH+CM")
             registry.put(other, _entry(other))
-            assert registry.nearest(8, "CM+WH", "L0-default", "simplex", 0.9) is None
+            assert registry.nearest(8, "CM+WH", "L0-default", 0.9) is None
 
 
-class TestWarmStartingThroughCache:
-    def test_neighbour_warm_start_matches_cold_objective(self, tmp_path):
+class TestCacheStats:
+    def test_warm_counters_read_zero(self, tmp_path):
+        # The stats schema keeps the LP warm-start counters; no solve is
+        # warm-started, so a cold miss next to a cached neighbour reads 0.
         cache = DesignCache(directory=tmp_path)
-        seed, _ = cache.get_or_design(8, 0.9, properties="WH+CM", backend="simplex")
-        assert seed.metadata.get("lp_basis")  # basis persisted for neighbours
-        warm, _ = cache.get_or_design(8, 0.95, properties="WH+CM", backend="simplex")
+        cache.get_or_design(8, 0.9, properties="WH+CM")
+        cache.get_or_design(8, 0.95, properties="WH+CM")
         stats = cache.stats()
-        assert stats.warm_attempts == 1
-        assert stats.warm_hits == 1
-        assert stats.warm_fallbacks == 0
-        assert warm.metadata.get("lp_warm_started") is True
-
-        cold, _ = DesignCache().get_or_design(
-            8, 0.95, properties="WH+CM", backend="simplex"
-        )
-        assert warm.metadata["objective_value"] == pytest.approx(
-            cold.metadata["objective_value"], abs=1e-9
-        )
-        # The warm solution is a real mechanism: each input's output
-        # distribution (a column in this convention) sums to one.
-        matrix = np.asarray(warm.matrix, dtype=float)
-        assert np.all(matrix >= -1e-12)
-        np.testing.assert_allclose(matrix.sum(axis=0), 1.0, atol=1e-9)
-
-    def test_scipy_rows_never_seed_warm_starts(self, tmp_path):
-        cache = DesignCache(directory=tmp_path)
-        cache.get_or_design(8, 0.9, properties="WH+CM", backend="scipy")
-        cache.get_or_design(8, 0.95, properties="WH+CM", backend="scipy")
-        stats = cache.stats()
-        assert stats.warm_attempts == 0  # no basis interface, no attempts
-
-    def test_no_warmstart_env_disables_attempts(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_WARMSTART", "1")
-        cache = DesignCache(directory=tmp_path)
-        cache.get_or_design(8, 0.9, properties="WH+CM", backend="simplex")
-        cache.get_or_design(8, 0.95, properties="WH+CM", backend="simplex")
-        assert cache.stats().warm_attempts == 0
+        assert stats.misses == 2
+        assert (stats.warm_attempts, stats.warm_hits, stats.warm_fallbacks) == (0, 0, 0)
 
     def test_stats_after_close(self, tmp_path):
         # stats() must not touch the registry's (closed) connection.
@@ -339,25 +337,20 @@ class TestWarmGrid:
             parse_grid(["n=eight", "alpha=0.9"])
 
     def test_warm_grid_fills_registry_and_is_idempotent(self, tmp_path):
-        summary = warm_grid(
-            tmp_path, ns=[6, 8], alphas=[0.9, 0.95], backend="simplex"
-        )
+        summary = warm_grid(tmp_path, ns=[6, 8], alphas=[0.9, 0.95])
         assert summary["grid_points"] == 4
         assert summary["solved"] == 4
         assert summary["skipped"] == 0
-        assert summary["warm_started"] >= 1  # alphas chain within a group
-        again = warm_grid(tmp_path, ns=[6, 8], alphas=[0.9, 0.95], backend="simplex")
+        again = warm_grid(tmp_path, ns=[6, 8], alphas=[0.9, 0.95])
         assert again["solved"] == 0
         assert again["skipped"] == 4
 
     def test_warmed_registry_serves_with_zero_solves(self, tmp_path):
-        warm_grid(tmp_path, ns=[6], alphas=[0.9, 0.95], backend="simplex")
+        warm_grid(tmp_path, ns=[6], alphas=[0.9, 0.95])
         cache = DesignCache(directory=tmp_path)
         before = solve_call_count()
         for alpha in (0.9, 0.95):
-            plan = ReleasePlan.compile(
-                6, alpha, properties="WH+CM", backend="simplex", cache=cache
-            )
+            plan = ReleasePlan.compile(6, alpha, properties="WH+CM", cache=cache)
             descriptor = plan.descriptor()
             assert descriptor["n"] == 6
             assert descriptor["alpha"] == alpha
@@ -374,8 +367,6 @@ class TestWarmGrid:
                 "n=6",
                 "alpha=0.9,0.95",
                 "props=WH+CM",
-                "--backend",
-                "simplex",
                 "--stats-json",
             ]
         )

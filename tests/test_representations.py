@@ -53,12 +53,6 @@ PARITY_GRID = [
 INTERIOR_GRID = [(n, a) for n, a in PARITY_GRID if 0.0 < a < 1.0]
 
 
-def _build(name: str, n: int, alpha: float) -> Mechanism:
-    if name == "WM":
-        return create_mechanism(name, n=n, alpha=alpha, backend="scipy")
-    return create_mechanism(name, n=n, alpha=alpha)
-
-
 def _dense_twin(mechanism: Mechanism) -> Mechanism:
     """A dense mechanism with bit-identical columns to the given one."""
     return DenseMechanism(
@@ -82,7 +76,7 @@ class TestClosedFormFactories:
     @pytest.mark.parametrize("name", ["GM", "EM", "UM", "NRR"])
     def test_factories_return_closed_form_without_densifying(self, name):
         before = Mechanism.densifications
-        mechanism = _build(name, 64, 0.9)
+        mechanism = create_mechanism(name, 64, 0.9)
         assert isinstance(mechanism, ClosedFormMechanism)
         assert mechanism.representation == "closed-form"
         assert not mechanism.is_dense
@@ -96,7 +90,7 @@ class TestClosedFormFactories:
     @pytest.mark.parametrize("name", ["GM", "EM", "UM", "NRR", "STAIRCASE"])
     @pytest.mark.parametrize("n,alpha", [(5, 0.3), (8, 0.9)])
     def test_interface_matches_matrix(self, name, n, alpha):
-        mechanism = _build(name, n, alpha)
+        mechanism = create_mechanism(name, n, alpha)
         matrix = mechanism.matrix
         for j in range(n + 1):
             assert np.array_equal(mechanism.column(j), matrix[:, j])
@@ -111,7 +105,7 @@ class TestPropertyParity:
     @pytest.mark.parametrize("n,alpha", PARITY_GRID)
     @pytest.mark.parametrize("name", ["GM", "EM", "UM", "NRR"])
     def test_closed_form_and_sparse_agree_with_dense(self, name, n, alpha):
-        mechanism = _build(name, n, alpha)
+        mechanism = create_mechanism(name, n, alpha)
         dense = _dense_twin(mechanism)
         sparse_twin = _sparse_twin(mechanism)
         expected = check_all_properties(dense)
@@ -121,7 +115,7 @@ class TestPropertyParity:
     @pytest.mark.parametrize("n,alpha", INTERIOR_GRID)
     @pytest.mark.parametrize("name", ["STAIRCASE", "EXP", "LAPLACE"])
     def test_remaining_registry_mechanisms_agree(self, name, n, alpha):
-        mechanism = _build(name, n, alpha)
+        mechanism = create_mechanism(name, n, alpha)
         dense = _dense_twin(mechanism)
         expected = check_all_properties(dense)
         assert check_all_properties(mechanism) == expected, (name, n, alpha)
@@ -156,7 +150,7 @@ class TestPropertyParity:
     @pytest.mark.parametrize("n,alpha", PARITY_GRID)
     @pytest.mark.parametrize("name", ["GM", "EM", "UM", "NRR"])
     def test_max_alpha_and_dp_parity(self, name, n, alpha):
-        mechanism = _build(name, n, alpha)
+        mechanism = create_mechanism(name, n, alpha)
         dense = _dense_twin(mechanism)
         assert mechanism.max_alpha() == pytest.approx(dense.max_alpha(), abs=1e-12)
         probe = min(1.0, mechanism.max_alpha())
@@ -171,7 +165,7 @@ class TestSamplingIdentity:
     @pytest.mark.parametrize("name", ["GM", "EM", "UM", "NRR", "STAIRCASE"])
     @pytest.mark.parametrize("n,alpha", [(12, 0.9), (64, 0.62), (130, 0.3)])
     def test_closed_form_matches_dense_stream(self, name, n, alpha):
-        mechanism = _build(name, n, alpha)
+        mechanism = create_mechanism(name, n, alpha)
         dense = _dense_twin(mechanism)
         counts = np.random.default_rng(3).integers(0, n + 1, size=20_000)
         ours = mechanism.sample_batch(counts, rng=np.random.default_rng(7))
@@ -181,7 +175,7 @@ class TestSamplingIdentity:
     @pytest.mark.parametrize("name", ["GM", "EM"])
     def test_closed_form_matches_dense_stream_n512(self, name):
         n = 512
-        mechanism = _build(name, n, 0.95)
+        mechanism = create_mechanism(name, n, 0.95)
         dense = _dense_twin(mechanism)
         counts = np.random.default_rng(1).integers(0, n + 1, size=50_000)
         ours = mechanism.sample_batch(counts, rng=np.random.default_rng(2018))
@@ -200,7 +194,7 @@ class TestSamplingIdentity:
 
     @pytest.mark.parametrize("name", ["GM", "EM", "NRR"])
     def test_scalar_and_batch_interchangeable(self, name):
-        mechanism = _build(name, 17, 0.85)
+        mechanism = create_mechanism(name, 17, 0.85)
         counts = np.random.default_rng(0).integers(0, 18, size=500)
         batch = mechanism.sample_batch(counts, rng=np.random.default_rng(42))
         rng = np.random.default_rng(42)
@@ -211,11 +205,11 @@ class TestSamplingIdentity:
     def test_analytic_inversion_matches_exact_columns(self, name, monkeypatch):
         """The large-n analytic sampler equals the exact column sampler."""
         n, alpha = 600, 0.97
-        mechanism = _build(name, n, alpha)
+        mechanism = create_mechanism(name, n, alpha)
         counts = np.random.default_rng(8).integers(0, n + 1, size=30_000)
         exact = mechanism.sample_batch(counts, rng=np.random.default_rng(13))
         monkeypatch.setattr(ClosedFormMechanism, "EXACT_SAMPLING_LIMIT", 16)
-        analytic = _build(name, n, alpha).sample_batch(counts, rng=np.random.default_rng(13))
+        analytic = create_mechanism(name, n, alpha).sample_batch(counts, rng=np.random.default_rng(13))
         assert np.array_equal(exact, analytic)
 
     def test_large_n_sampling_distribution(self):
@@ -236,7 +230,7 @@ class TestMaxAlphaVectorisation:
 
     def test_matches_loop_on_named_mechanisms(self):
         for name in ("GM", "EM", "UM", "NRR", "EXP", "LAPLACE"):
-            mechanism = _build(name, 9, 0.8)
+            mechanism = create_mechanism(name, 9, 0.8)
             assert DenseMechanism(mechanism.matrix.copy()).max_alpha() == pytest.approx(
                 _max_alpha_loop(mechanism.matrix), abs=0
             ), name
@@ -260,7 +254,7 @@ class TestMaxAlphaVectorisation:
 class TestLossParity:
     @pytest.mark.parametrize("name", ["GM", "EM", "UM", "NRR"])
     def test_losses_never_densify_and_match_dense(self, name):
-        mechanism = _build(name, 40, 0.88)
+        mechanism = create_mechanism(name, 40, 0.88)
         dense = _dense_twin(mechanism)
         before = Mechanism.densifications
         assert l0_score(mechanism) == pytest.approx(l0_score(dense), abs=1e-12)
@@ -289,7 +283,7 @@ class TestLossParity:
 class TestSerialisationDescriptors:
     @pytest.mark.parametrize("name", ["GM", "EM", "UM", "NRR", "STAIRCASE"])
     def test_closed_form_round_trip(self, name):
-        mechanism = _build(name, 200, 0.9)
+        mechanism = create_mechanism(name, 200, 0.9)
         payload = mechanism.to_dict()
         assert payload["representation"] == "closed-form"
         assert "matrix" not in payload

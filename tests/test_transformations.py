@@ -100,6 +100,3 @@ class TestOptimalRemap:
         with pytest.raises(ValueError):
             optimal_remap(geometric_mechanism(3, 0.5), objective=Objective.minimax())
 
-    def test_simplex_backend_supported(self):
-        remap = optimal_remap(geometric_mechanism(3, 0.7), backend="simplex")
-        assert np.allclose(remap.sum(axis=0), 1.0)

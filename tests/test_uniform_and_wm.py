@@ -12,7 +12,7 @@ from repro.core.properties import (
     is_column_monotone,
     is_weakly_honest,
 )
-from repro.core.theory import em_l0_score, gm_l0_score, weak_honesty_threshold
+from repro.core.theory import em_l0_score, gm_l0_score, weak_honesty_threshold, wm_l0_bounds
 from repro.mechanisms.geometric import geometric_mechanism
 from repro.mechanisms.uniform import uniform_matrix, uniform_mechanism
 from repro.mechanisms.weakly_honest import weakly_honest_mechanism
@@ -92,7 +92,7 @@ class TestWeaklyHonestMechanism:
         assert not is_weakly_honest(gm)
         assert is_weakly_honest(wm, tolerance=1e-6)
 
-    def test_simplex_backend_agrees_with_scipy(self):
-        scipy_wm = weakly_honest_mechanism(4, 0.85, backend="scipy")
-        simplex_wm = weakly_honest_mechanism(4, 0.85, backend="simplex")
-        assert l0_score(scipy_wm) == pytest.approx(l0_score(simplex_wm), abs=1e-7)
+    def test_wh_only_variant_within_closed_form_bounds(self):
+        low, high = wm_l0_bounds(4, 0.85)
+        value = l0_score(weakly_honest_mechanism(4, 0.85, column_monotone=False))
+        assert low - 1e-7 <= value <= high + 1e-7
