@@ -10,6 +10,10 @@ import pytest
 from repro.cli import build_parser, main
 from repro.core.mechanism import Mechanism
 
+SUBCOMMANDS = [
+    "design", "compare", "release", "serve-batch", "serve-stream", "serve", "warm", "experiments",
+]
+
 
 class TestParser:
     def test_requires_a_command(self):
@@ -38,6 +42,27 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv + ["--backend", "simplex"])
         assert "unrecognized arguments: --backend simplex" in capsys.readouterr().err
+
+
+class TestHelp:
+    """``--help`` is what ``repro-mechanisms --help`` runs after an install."""
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["--help"])
+        assert raised.value.code == 0
+        out = capsys.readouterr().out
+        for command in SUBCOMMANDS:
+            assert command in out
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_subcommand_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main([command, "--help"])
+        assert raised.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage:") and command in out
+        assert "--backend" not in out
 
 
 class TestBadInputExitsCleanly:

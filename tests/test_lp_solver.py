@@ -5,13 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.lp import scipy_backend
 from repro.lp.model import LinearProgram
 from repro.lp.solver import (
+    LPError,
     LPInfeasibleError,
     LPSolution,
     LPStatus,
     LPUnboundedError,
+    reset_solve_call_count,
     solve,
+    solve_call_count,
 )
 
 
@@ -77,6 +81,165 @@ class TestSolve:
         assert isinstance(solution, LPSolution)
         assert solution.values.shape == (2,)
         assert np.all(solution.values >= -1e-9)
+
+    def test_iteration_limit_raises_lp_error(self):
+        with pytest.raises(LPError, match="iteration_limit"):
+            solve(_knapsack_lp(), max_iterations=0)
+
+    def test_solve_call_count_counts_each_solve(self):
+        before = solve_call_count()
+        solve(_knapsack_lp())
+        solve(_knapsack_lp(), sparse=False)
+        assert solve_call_count() == before + 2
+        assert reset_solve_call_count() == before + 2
+        assert solve_call_count() == 0
+
+
+def _empty(num_vars: int):
+    return np.zeros((0, num_vars)), np.zeros(0)
+
+
+class TestGeneralForm:
+    """``scipy_backend.solve_general_form``: the array-level entry under ``solve``."""
+
+    def test_textbook_lp(self):
+        # max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18  -> optimum 36 at (2, 6).
+        c = np.array([-3.0, -5.0])
+        A_ub = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]])
+        b_ub = np.array([4.0, 12.0, 18.0])
+        result = scipy_backend.solve_general_form(
+            c, A_ub, b_ub, *_empty(2), lower=np.zeros(2), upper=np.full(2, np.inf)
+        )
+        assert result["status"] == "optimal"
+        assert result["objective"] == pytest.approx(-36.0)
+        np.testing.assert_allclose(result["x"], [2.0, 6.0], atol=1e-8)
+
+    def test_unbounded_detected(self):
+        result = scipy_backend.solve_general_form(
+            np.array([-1.0]), *_empty(1), *_empty(1),
+            lower=np.zeros(1), upper=np.full(1, np.inf),
+        )
+        assert result["status"] == "unbounded"
+        assert result["x"] is None and result["objective"] is None
+
+    def test_infeasible_detected(self):
+        A_ub = np.array([[1.0], [-1.0]])
+        b_ub = np.array([1.0, -3.0])  # x <= 1 and x >= 3
+        result = scipy_backend.solve_general_form(
+            np.array([1.0]), A_ub, b_ub, *_empty(1),
+            lower=np.zeros(1), upper=np.full(1, np.inf),
+        )
+        assert result["status"] == "infeasible"
+        assert result["x"] is None
+
+    def test_equality_constraints_and_bounds(self):
+        # min x + 2y s.t. x + y = 3, 0 <= x <= 1, y >= 0  -> x = 1, y = 2.
+        result = scipy_backend.solve_general_form(
+            np.array([1.0, 2.0]), *_empty(2), np.array([[1.0, 1.0]]), np.array([3.0]),
+            lower=np.zeros(2), upper=np.array([1.0, np.inf]),
+        )
+        assert result["status"] == "optimal"
+        np.testing.assert_allclose(result["x"], [1.0, 2.0], atol=1e-8)
+        assert result["objective"] == pytest.approx(5.0)
+
+    def test_lower_bounds_and_free_variables(self):
+        # min x - y s.t. x - y >= -5, x >= 2, y free  -> objective -5 with x at 2.
+        result = scipy_backend.solve_general_form(
+            np.array([1.0, -1.0]), np.array([[-1.0, 1.0]]), np.array([5.0]), *_empty(2),
+            lower=np.array([2.0, -np.inf]), upper=np.array([np.inf, np.inf]),
+        )
+        assert result["status"] == "optimal"
+        assert result["objective"] == pytest.approx(-5.0)
+        assert result["x"][0] >= 2.0 - 1e-9
+        assert result["x"][0] - result["x"][1] == pytest.approx(-5.0)
+
+    def test_degenerate_problem_terminates(self):
+        # Redundant rows make the optimal vertex degenerate.
+        A_ub = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
+        b_ub = np.array([2.0, 2.0, 1.0])
+        result = scipy_backend.solve_general_form(
+            np.array([-1.0, -1.0]), A_ub, b_ub, *_empty(2),
+            lower=np.zeros(2), upper=np.full(2, np.inf),
+        )
+        assert result["status"] == "optimal"
+        assert result["objective"] == pytest.approx(-2.0)
+
+    def test_iteration_limit_reported(self):
+        c = np.array([-3.0, -5.0])
+        A_ub = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]])
+        b_ub = np.array([4.0, 12.0, 18.0])
+        result = scipy_backend.solve_general_form(
+            c, A_ub, b_ub, *_empty(2), lower=np.zeros(2), upper=np.full(2, np.inf),
+            max_iterations=0,
+        )
+        assert result["status"] == "iteration_limit"
+        assert result["x"] is None
+
+    def test_sparse_and_dense_inputs_agree_on_random_problems(self, rng):
+        from scipy import sparse
+
+        for _ in range(10):
+            num_vars = int(rng.integers(2, 5))
+            num_rows = int(rng.integers(1, 4))
+            c = rng.normal(size=num_vars)
+            A_ub = rng.normal(size=(num_rows, num_vars))
+            # Bounded and non-empty: x in [0, 2]^d with the all-ones point inside.
+            b_ub = A_ub @ np.ones(num_vars) + np.abs(rng.normal(size=num_rows)) + 0.1
+            bounds = (np.zeros(num_vars), np.full(num_vars, 2.0))
+            dense = scipy_backend.solve_general_form(c, A_ub, b_ub, *_empty(num_vars), *bounds)
+            sparse_result = scipy_backend.solve_general_form(
+                c, sparse.csr_matrix(A_ub), b_ub, *_empty(num_vars), *bounds
+            )
+            assert dense["status"] == sparse_result["status"] == "optimal"
+            assert sparse_result["objective"] == pytest.approx(dense["objective"], abs=1e-9)
+            assert np.all(A_ub @ dense["x"] <= b_ub + 1e-9)
+
+
+class TestDenseExport:
+    """``to_standard_arrays``: the dense reference for the sparse export."""
+
+    def _mixed_lp(self) -> LinearProgram:
+        lp = LinearProgram("mixed")
+        x = lp.add_variable("x", lower=1.0, upper=4.0)
+        y = lp.add_variable("y", lower=None)
+        z = lp.add_variable("z")
+        lp.add_constraint({x: 1.0, y: 2.0}, "<=", 7.0)
+        lp.add_constraint({y: 1.0, z: -1.0}, ">=", -3.0)
+        lp.add_constraint({x: 1.0, z: 1.0}, "==", 5.0)
+        lp.add_constraint({y: 1.0}, "==", 0.5)
+        lp.set_objective({x: 1.0, z: 2.0}, sense="max")
+        return lp
+
+    def test_ge_rows_are_negated_into_le_form(self):
+        arrays = self._mixed_lp().to_standard_arrays()
+        np.testing.assert_array_equal(arrays["A_ub"], [[1.0, 2.0, 0.0], [0.0, -1.0, 1.0]])
+        np.testing.assert_array_equal(arrays["b_ub"], [7.0, 3.0])
+
+    def test_equality_rows_keep_insertion_order(self):
+        arrays = self._mixed_lp().to_standard_arrays()
+        np.testing.assert_array_equal(arrays["A_eq"], [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        np.testing.assert_array_equal(arrays["b_eq"], [5.0, 0.5])
+
+    def test_maximisation_objective_is_negated(self):
+        arrays = self._mixed_lp().to_standard_arrays()
+        np.testing.assert_array_equal(arrays["c"], [-1.0, 0.0, -2.0])
+
+    def test_bounds_are_exported(self):
+        arrays = self._mixed_lp().to_standard_arrays()
+        np.testing.assert_array_equal(arrays["lower"], [1.0, -np.inf, 0.0])
+        np.testing.assert_array_equal(arrays["upper"], [4.0, np.inf, np.inf])
+
+    def test_sparse_export_densifies_to_the_dense_export(self):
+        from repro.core.constraints import build_mechanism_lp
+
+        mechanism_lp = build_mechanism_lp(n=4, alpha=0.9, properties="all").program
+        for program in (self._mixed_lp(), mechanism_lp):
+            dense = program.to_standard_arrays()
+            sparse_arrays = program.to_sparse_arrays()
+            for key in ("A_ub", "A_eq"):
+                np.testing.assert_array_equal(sparse_arrays[key].toarray(), dense[key])
+            for key in ("c", "b_ub", "b_eq", "lower", "upper"):
+                np.testing.assert_array_equal(sparse_arrays[key], dense[key])
 
 
 class TestSparseSolvePath:
