@@ -43,6 +43,10 @@ import pytest
 from _metrics import pop_case_metrics
 from _tiny import TINY
 
+# The reference implementations the benchmarks time against live in
+# tests/_reference.py; make them importable when this suite runs alone.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
+
 #: Version of the BENCH_*.json schema (bump on incompatible changes).
 BENCH_SCHEMA_VERSION = 1
 

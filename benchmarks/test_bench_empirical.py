@@ -9,7 +9,7 @@ repetitions = 50)``:
   paper-faithful loop that releases one group at a time and computes each
   metric per repetition (measured ~1000x on the reference machine) — and at
   least **2x faster** than the batched repetition loop kept as
-  ``_evaluate_loop`` (measured ~4-6x);
+  ``evaluate_loop`` in ``tests/_reference.py`` (measured ~4-6x);
 * the per-repetition metric values of all three paths are **bit-identical**
   (same uniform stream, same exact inverse-CDF sampler, exact integer
   reductions);
@@ -25,11 +25,12 @@ from __future__ import annotations
 import time
 
 import numpy as np
+from _reference import evaluate_loop
 from _tiny import TINY
 
 from repro.core.mechanism import DenseMechanism
 from repro.eval import metrics as metrics_module
-from repro.eval.empirical import DEFAULT_METRICS, _evaluate_loop, evaluate_mechanism
+from repro.eval.empirical import DEFAULT_METRICS, evaluate_mechanism
 from repro.eval.sweep import sweep
 from repro.mechanisms.geometric import geometric_matrix, geometric_mechanism
 
@@ -83,7 +84,7 @@ def test_vectorized_evaluation_speedup_and_bit_identity(rng):
         )
     )
     loop, loop_seconds = _best_of(
-        lambda: _evaluate_loop(
+        lambda: evaluate_loop(
             mechanism, counts, group_size=N, repetitions=REPETITIONS, seed=1
         )
     )
@@ -143,7 +144,7 @@ def test_distance_profile_single_pass(rng):
         )
     )
     loop, loop_seconds = _best_of(
-        lambda: _evaluate_loop(
+        lambda: evaluate_loop(
             mechanism, counts, group_size=N, repetitions=REPETITIONS,
             metrics=family, seed=5,
         )

@@ -16,21 +16,21 @@ caller can reconstruct the mechanism matrix from a solution.
 Constraints are emitted as vectorized COO triplet blocks
 (:meth:`~repro.lp.model.LinearProgram.add_constraints_from_triplets`) built
 with NumPy index arithmetic, so assembling the LP costs ``O(nonzeros)``
-instead of one Python dict per constraint.  The original loop-based emitters
-are retained behind ``vectorized=False``; the test-suite verifies both paths
-produce the identical constraint system (same names, senses, right-hand
+instead of one Python dict per constraint.  The test-suite keeps a
+loop-based reference builder (one dict per constraint) and verifies that
+both emit the identical constraint system (same names, senses, right-hand
 sides and coefficients, in the same order) for every property combination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Union
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.losses import Objective
-from repro.core.properties import StructuralProperty, parse_properties
+from repro.core.properties import ALL_PROPERTIES, StructuralProperty, parse_properties
 from repro.lp.model import LinearProgram, Variable
 
 
@@ -123,10 +123,10 @@ class MechanismLPBuilder:
         builder.set_objective(Objective.l0())
         mechanism_lp = builder.build()
 
-    ``vectorized=False`` selects the original loop-based constraint emitters
-    (one Python dict per constraint); it exists as the reference
-    implementation for equivalence testing and benchmarking and builds the
-    exact same program.
+    Every constraint family has one emitter, which adds its rows as one
+    COO triplet block.  :meth:`add_properties` emits the property blocks in
+    the paper's order (:data:`~repro.core.properties.ALL_PROPERTIES`), so a
+    given specification always yields the same program.
     """
 
     def __init__(
@@ -134,7 +134,6 @@ class MechanismLPBuilder:
         n: int,
         alpha: float,
         name: Optional[str] = None,
-        vectorized: bool = True,
     ) -> None:
         if n < 1:
             raise ValueError("group size n must be at least 1")
@@ -143,7 +142,6 @@ class MechanismLPBuilder:
         self.n = int(n)
         self.alpha = float(alpha)
         self.size = self.n + 1
-        self.vectorized = bool(vectorized)
         self.program = LinearProgram(name=name or f"mechanism(n={n}, alpha={alpha:.4g})")
         # Constraint 4: every entry is a probability in [0, 1].
         self.variables: List[List[Variable]] = [
@@ -170,13 +168,6 @@ class MechanismLPBuilder:
         """
         if self._basic_dp_added:
             return
-        if self.vectorized:
-            self._add_basic_dp_vectorized()
-        else:
-            self._add_basic_dp_loops()
-        self._basic_dp_added = True
-
-    def _add_basic_dp_vectorized(self) -> None:
         size = self.size
         # Column sums: row j covers ρ_{0,j} … ρ_{n,j}.
         j = np.arange(size)
@@ -189,9 +180,8 @@ class MechanismLPBuilder:
             rhs=np.ones(size),
             names=lambda k: f"column_sum_{k}",
         )
-        # DP ratio pairs, interleaved forward/backward exactly like the loop
-        # emitter: pair k = i * n + j gives rows 2k (forward) and 2k+1
-        # (backward).
+        # DP ratio pairs, interleaved forward/backward: pair k = i * n + j
+        # gives rows 2k (forward) and 2k+1 (backward).
         num_pairs = size * (size - 1)
         i_idx = np.repeat(np.arange(size), size - 1)
         j_idx = np.tile(np.arange(size - 1), size)
@@ -207,34 +197,12 @@ class MechanismLPBuilder:
             rhs=np.zeros(2 * num_pairs),
             names=self._dp_name,
         )
+        self._basic_dp_added = True
 
     def _dp_name(self, k: int) -> str:
         pair, backward = divmod(k, 2)
         i, j = divmod(pair, self.size - 1)
         return f"dp_{'backward' if backward else 'forward'}_{i}_{j}"
-
-    def _add_basic_dp_loops(self) -> None:
-        for j in range(self.size):
-            self.program.add_constraint(
-                {self.variables[i][j]: 1.0 for i in range(self.size)},
-                "==",
-                1.0,
-                name=f"column_sum_{j}",
-            )
-        for i in range(self.size):
-            for j in range(self.size - 1):
-                self.program.add_constraint(
-                    {self.variables[i][j]: 1.0, self.variables[i][j + 1]: -self.alpha},
-                    ">=",
-                    0.0,
-                    name=f"dp_forward_{i}_{j}",
-                )
-                self.program.add_constraint(
-                    {self.variables[i][j + 1]: 1.0, self.variables[i][j]: -self.alpha},
-                    ">=",
-                    0.0,
-                    name=f"dp_backward_{i}_{j}",
-                )
 
     def add_output_dp(self, beta: Optional[float] = None) -> None:
         """Install the output-side DP constraints (the Section-VI extension).
@@ -247,22 +215,6 @@ class MechanismLPBuilder:
         beta = self.alpha if beta is None else float(beta)
         if not (0.0 <= beta <= 1.0):
             raise ValueError("beta must lie in [0, 1]")
-        if not self.vectorized:
-            for j in range(self.size):
-                for i in range(self.size - 1):
-                    self.program.add_constraint(
-                        {self.variables[i][j]: 1.0, self.variables[i + 1][j]: -beta},
-                        ">=",
-                        0.0,
-                        name=f"output_dp_down_{i}_{j}",
-                    )
-                    self.program.add_constraint(
-                        {self.variables[i + 1][j]: 1.0, self.variables[i][j]: -beta},
-                        ">=",
-                        0.0,
-                        name=f"output_dp_up_{i}_{j}",
-                    )
-            return
         size = self.size
         num_pairs = size * (size - 1)
         j_idx = np.repeat(np.arange(size), size - 1)
@@ -293,8 +245,12 @@ class MechanismLPBuilder:
     ) -> FrozenSet[StructuralProperty]:
         """Add every property in the given specification; returns the parsed set."""
         props = parse_properties(properties)
-        for prop in props:
-            self.add_property(prop)
+        # Paper order, not set order: a frozenset of str-enum members
+        # iterates by string hash, which changes with PYTHONHASHSEED, and a
+        # degenerate LP solved from reordered rows can return another vertex.
+        for prop in ALL_PROPERTIES:
+            if prop in props:
+                self.add_property(prop)
         return props
 
     def add_property(self, prop: Union[str, StructuralProperty]) -> None:
@@ -330,18 +286,6 @@ class MechanismLPBuilder:
     def _add_row_honesty(self) -> None:
         """RH (Eq. 7): ``ρ_{i,i} >= ρ_{i,j}``."""
         size = self.size
-        if not self.vectorized:
-            for i in range(size):
-                for j in range(size):
-                    if i == j:
-                        continue
-                    self.program.add_constraint(
-                        {self.variables[i][i]: 1.0, self.variables[i][j]: -1.0},
-                        ">=",
-                        0.0,
-                        name=f"row_honesty_{i}_{j}",
-                    )
-            return
         i_idx = np.repeat(np.arange(size), size)
         j_idx = np.tile(np.arange(size), size)
         off = i_idx != j_idx
@@ -357,27 +301,10 @@ class MechanismLPBuilder:
     def _add_row_monotonicity(self) -> None:
         """RM (Eq. 8): row entries decay away from the diagonal."""
         size = self.size
-        if not self.vectorized:
-            for i in range(size):
-                for j in range(1, i + 1):
-                    self.program.add_constraint(
-                        {self.variables[i][j]: 1.0, self.variables[i][j - 1]: -1.0},
-                        ">=",
-                        0.0,
-                        name=f"row_monotone_left_{i}_{j}",
-                    )
-                for j in range(i, size - 1):
-                    self.program.add_constraint(
-                        {self.variables[i][j]: 1.0, self.variables[i][j + 1]: -1.0},
-                        ">=",
-                        0.0,
-                        name=f"row_monotone_right_{i}_{j}",
-                    )
-            return
         # Each row i emits: left pairs for j = 1 … i, then right pairs for
         # j = i … size-2 (size-1 constraints per row).  The local slot of a
         # left pair is base + j - 1 and of a right pair base + j, which
-        # reproduces the loop emitter's interleaving exactly.
+        # interleaves them in row-by-row loop order.
         i_grid = np.repeat(np.arange(size), size)
         j_grid = np.tile(np.arange(size), size)
         base = i_grid * (size - 1)
@@ -407,18 +334,6 @@ class MechanismLPBuilder:
     def _add_column_honesty(self) -> None:
         """CH (Eq. 9): ``ρ_{j,j} >= ρ_{i,j}``."""
         size = self.size
-        if not self.vectorized:
-            for j in range(size):
-                for i in range(size):
-                    if i == j:
-                        continue
-                    self.program.add_constraint(
-                        {self.variables[j][j]: 1.0, self.variables[i][j]: -1.0},
-                        ">=",
-                        0.0,
-                        name=f"column_honesty_{i}_{j}",
-                    )
-            return
         j_idx = np.repeat(np.arange(size), size)
         i_idx = np.tile(np.arange(size), size)
         off = i_idx != j_idx
@@ -434,23 +349,6 @@ class MechanismLPBuilder:
     def _add_column_monotonicity(self) -> None:
         """CM (Eq. 10): column entries decay away from the diagonal."""
         size = self.size
-        if not self.vectorized:
-            for j in range(size):
-                for i in range(1, j + 1):
-                    self.program.add_constraint(
-                        {self.variables[i][j]: 1.0, self.variables[i - 1][j]: -1.0},
-                        ">=",
-                        0.0,
-                        name=f"column_monotone_up_{i}_{j}",
-                    )
-                for i in range(j, size - 1):
-                    self.program.add_constraint(
-                        {self.variables[i][j]: 1.0, self.variables[i + 1][j]: -1.0},
-                        ">=",
-                        0.0,
-                        name=f"column_monotone_down_{i}_{j}",
-                    )
-            return
         # Mirror of row monotonicity with the roles of i and j swapped.
         j_grid = np.repeat(np.arange(size), size)
         i_grid = np.tile(np.arange(size), size)
@@ -481,15 +379,6 @@ class MechanismLPBuilder:
     def _add_fairness(self) -> None:
         """F (Eq. 11): every diagonal entry equals ``ρ_{0,0}``."""
         size = self.size
-        if not self.vectorized:
-            for i in range(1, size):
-                self.program.add_constraint(
-                    {self.variables[i][i]: 1.0, self.variables[0][0]: -1.0},
-                    "==",
-                    0.0,
-                    name=f"fairness_{i}",
-                )
-            return
         i_idx = np.arange(1, size)
         self._pairwise_block(
             plus=i_idx * size + i_idx,
@@ -503,15 +392,6 @@ class MechanismLPBuilder:
         """WH (Eq. 13): ``ρ_{i,i} >= 1 / (n + 1)``."""
         size = self.size
         threshold = 1.0 / size
-        if not self.vectorized:
-            for i in range(size):
-                self.program.add_constraint(
-                    {self.variables[i][i]: 1.0},
-                    ">=",
-                    threshold,
-                    name=f"weak_honesty_{i}",
-                )
-            return
         i_idx = np.arange(size)
         self.program.add_constraints_from_triplets(
             rows=i_idx,
@@ -525,24 +405,9 @@ class MechanismLPBuilder:
     def _add_symmetry(self) -> None:
         """S (Eq. 14): centro-symmetry ``ρ_{i,j} = ρ_{n-i,n-j}``."""
         size = self.size
-        if not self.vectorized:
-            seen = set()
-            for i in range(size):
-                for j in range(size):
-                    mirror = (self.n - i, self.n - j)
-                    if (i, j) == mirror or ((i, j) in seen) or (mirror in seen):
-                        continue
-                    seen.add((i, j))
-                    self.program.add_constraint(
-                        {self.variables[i][j]: 1.0, self.variables[mirror[0]][mirror[1]]: -1.0},
-                        "==",
-                        0.0,
-                        name=f"symmetry_{i}_{j}",
-                    )
-            return
         # In flat (row-major) indexing the mirror of f is size^2 - 1 - f, so
-        # the loop emitter's first-visit rule keeps exactly the cells in the
-        # strict first half of the grid.
+        # keeping the first visit of each mirror pair keeps exactly the
+        # cells in the strict first half of the grid.
         flat = np.arange(size * size)
         keep = flat[2 * flat < size * size - 1]
         self._pairwise_block(
@@ -568,43 +433,23 @@ class MechanismLPBuilder:
         penalties = objective.penalties(self.size)
         weights = objective.prior(self.size)
         if objective.aggregator == "sum":
-            if self.vectorized:
-                self.program.set_objective_from_array(
-                    (penalties * weights[None, :]).ravel(), sense="min"
-                )
-                return
-            coefficients: Dict[Variable, float] = {}
-            for j in range(self.size):
-                for i in range(self.size):
-                    coeff = weights[j] * penalties[i, j]
-                    if coeff != 0.0:
-                        coefficients[self.variables[i][j]] = coeff
-            self.program.set_objective(coefficients, sense="min")
+            self.program.set_objective_from_array(
+                (penalties * weights[None, :]).ravel(), sense="min"
+            )
             return
         # Minimax: minimise t subject to per-input loss <= t.
         self._auxiliary = self.program.add_variable("minimax_bound", lower=0.0)
-        if self.vectorized:
-            size = self.size
-            j_idx = np.repeat(np.arange(size), size)
-            i_idx = np.tile(np.arange(size), size)
-            self.program.add_constraints_from_triplets(
-                rows=np.concatenate([np.arange(size), j_idx]),
-                cols=np.concatenate(
-                    [np.full(size, self._auxiliary.index), i_idx * size + j_idx]
-                ),
-                vals=np.concatenate([-np.ones(size), penalties[i_idx, j_idx]]),
-                senses="<=",
-                rhs=np.zeros(size),
-                names=lambda k: f"minimax_bound_{k}",
-            )
-        else:
-            for j in range(self.size):
-                row: Dict[Variable, float] = {self._auxiliary: -1.0}
-                for i in range(self.size):
-                    coeff = penalties[i, j]
-                    if coeff != 0.0:
-                        row[self.variables[i][j]] = coeff
-                self.program.add_constraint(row, "<=", 0.0, name=f"minimax_bound_{j}")
+        size = self.size
+        j_idx = np.repeat(np.arange(size), size)
+        i_idx = np.tile(np.arange(size), size)
+        self.program.add_constraints_from_triplets(
+            rows=np.concatenate([np.arange(size), j_idx]),
+            cols=np.concatenate([np.full(size, self._auxiliary.index), i_idx * size + j_idx]),
+            vals=np.concatenate([-np.ones(size), penalties[i_idx, j_idx]]),
+            senses="<=",
+            rhs=np.zeros(size),
+            names=lambda k: f"minimax_bound_{k}",
+        )
         self.program.set_objective({self._auxiliary: 1.0}, sense="min")
 
     # ------------------------------------------------------------------ #
@@ -633,16 +478,14 @@ def build_mechanism_lp(
     properties: Iterable[Union[str, StructuralProperty]] = (),
     objective: Optional[Objective] = None,
     output_alpha: Optional[float] = None,
-    vectorized: bool = True,
 ) -> MechanismLP:
     """Convenience wrapper assembling BASICDP + properties + objective.
 
     ``output_alpha`` additionally installs the output-side DP constraints of
     the Section-VI extension at the given level (pass ``alpha`` itself for
-    the symmetric requirement).  ``vectorized=False`` selects the loop-based
-    reference emitters (same program, slower assembly).
+    the symmetric requirement).
     """
-    builder = MechanismLPBuilder(n=n, alpha=alpha, vectorized=vectorized)
+    builder = MechanismLPBuilder(n=n, alpha=alpha)
     builder.add_basic_dp()
     if output_alpha is not None:
         builder.add_output_dp(output_alpha)

@@ -62,35 +62,14 @@ class MechanismValidationError(ValueError):
     """Raised when a matrix does not describe a valid randomized mechanism."""
 
 
-def _max_alpha_loop(matrix: np.ndarray) -> float:
-    """Reference implementation of :meth:`Mechanism.max_alpha` (per-entry loop).
-
-    Kept as the ground truth the vectorised version is regression-tested
-    against; do not use on large matrices.
-    """
-    size = matrix.shape[0]
-    best = 1.0
-    for j in range(size - 1):
-        left = matrix[:, j]
-        right = matrix[:, j + 1]
-        for i in range(size):
-            a, b = left[i], right[i]
-            if a == 0.0 and b == 0.0:
-                continue
-            if a == 0.0 or b == 0.0:
-                return 0.0
-            ratio = min(a / b, b / a)
-            best = min(best, ratio)
-    return float(best)
-
-
 def _pair_min_ratio(left: np.ndarray, right: np.ndarray) -> float:
     """Minimum two-sided ratio ``min(a/b, b/a)`` over two column blocks.
 
     ``0/0`` pairs impose no constraint; a zero paired with a non-zero forces
-    the ratio (and therefore ``max_alpha``) to zero.  Matches the float
-    arithmetic of :func:`_max_alpha_loop` exactly: the same divisions are
-    performed, just all at once.
+    the ratio (and therefore ``max_alpha``) to zero.  Performs the same
+    float divisions as a per-entry loop over the pairs, just all at once, so
+    the result is bit-identical to that loop (the test-suite keeps it as the
+    reference).
     """
     left_zero = left == 0.0
     right_zero = right == 0.0

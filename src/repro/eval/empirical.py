@@ -12,8 +12,8 @@ that advertises a matrix kernel (a ``diff_kernel`` attribute, see
 :mod:`repro.eval.metrics`) is reduced from the shared ``released − true``
 difference matrix in a single pass.  The results are bit-identical to the
 original repetition loop — the exact sampler consumes uniforms in the same
-stream order either way — which :func:`_evaluate_loop` is kept around to
-prove.
+stream order either way — which the test-suite proves against a copy of
+that loop.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def _prepare_evaluation(
     rng: Optional[np.random.Generator],
     seed: Optional[int],
 ):
-    """Shared validation/normalisation for the vectorised and loop evaluators."""
+    """Validate and normalise the evaluator's inputs."""
     counts, size = _resolve_counts(data, group_size)
     if isinstance(mechanism, ReleasePlan):
         mechanism = mechanism.mechanism
@@ -206,8 +206,8 @@ def evaluate_mechanism(
     are drawn in one vectorised
     :meth:`~repro.engine.plan.ReleasePlan.execute_tiled` call and the
     metrics reduced from one shared difference matrix; the numbers are
-    bit-identical to the sequential repetition loop (:func:`_evaluate_loop`)
-    on the same generator.
+    bit-identical to a sequential loop of one ``mechanism.apply`` and one
+    metric call per repetition on the same generator.
 
     Parameters
     ----------
@@ -242,41 +242,6 @@ def evaluate_mechanism(
         num_groups=int(counts.shape[0]),
         repetitions=repetitions,
         per_repetition=_metric_matrix(counts, released, metric_functions),
-    )
-
-
-def _evaluate_loop(
-    mechanism: Mechanism,
-    data: Union[GroupedCounts, Sequence[int], np.ndarray],
-    group_size: Optional[int] = None,
-    repetitions: int = 30,
-    metrics: Optional[Mapping[str, MetricFunction]] = None,
-    rng: Optional[np.random.Generator] = None,
-    seed: Optional[int] = None,
-) -> EmpiricalResult:
-    """The original sequential repetition loop (regression reference).
-
-    One ``mechanism.apply`` call and one Python metric call per
-    (repetition, metric).  Kept as the ground truth
-    :func:`evaluate_mechanism` is proven bit-identical against; do not use
-    on large workloads.
-    """
-    if isinstance(mechanism, ReleasePlan):
-        mechanism = mechanism.mechanism
-    counts, size, metric_functions, rng = _prepare_evaluation(
-        mechanism, data, group_size, repetitions, metrics, rng, seed
-    )
-    per_repetition: Dict[str, List[float]] = {name: [] for name in metric_functions}
-    for _ in range(repetitions):
-        released = mechanism.apply(counts, rng=rng)
-        for name, function in metric_functions.items():
-            per_repetition[name].append(function(counts, released))
-    return EmpiricalResult(
-        mechanism_name=mechanism.name,
-        group_size=size,
-        num_groups=int(counts.shape[0]),
-        repetitions=repetitions,
-        per_repetition={name: np.asarray(values) for name, values in per_repetition.items()},
     )
 
 

@@ -221,9 +221,10 @@ class HistogramRelease:
         ``r`` is bit-identical to the ``r``-th of ``repetitions`` sequential
         :meth:`release` calls on the same generator (the repeated-release
         loop of the range-query experiment, collapsed into a single
-        :meth:`~repro.engine.plan.ReleasePlan.execute_tiled` call).  The
-        accountant, when present, is charged for all ``repetitions``
-        sequential releases before any sampling.
+        :meth:`~repro.engine.plan.ReleasePlan.execute_tiled` call; the
+        test-suite keeps that loop as the reference).  The accountant, when
+        present, is charged for all ``repetitions`` sequential releases
+        before any sampling.
         """
         counts, capacity = _validated_counts_and_capacity(true_counts, capacity)
         if rng is None:
@@ -236,25 +237,6 @@ class HistogramRelease:
             releases=int(repetitions),
         )
         return plan.execute_tiled(counts, repetitions, rng=rng)
-
-    def _release_many_loop(
-        self,
-        true_counts: Sequence[int],
-        repetitions: int,
-        capacity: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """Sequential :meth:`release` loop (regression reference).
-
-        Kept as the ground truth :meth:`release_many` is proven
-        bit-identical against on a shared generator; do not use on large
-        workloads.
-        """
-        rows = [
-            self.release(true_counts, capacity=capacity, rng=rng).released_counts
-            for _ in range(int(repetitions))
-        ]
-        return np.stack(rows)
 
 
 def released_histogram(

@@ -9,11 +9,9 @@ This module defines a small, explicit API for building linear programs:
 >>> lp.add_constraint({x: 1.0, y: -1.0}, ">=", -1.0)
 >>> lp.set_objective({x: 1.0, y: 1.0}, sense="max")
 
-The resulting :class:`LinearProgram` is solver-agnostic; it can be exported
-to SciPy CSR form (:meth:`LinearProgram.to_sparse_arrays`), which
-:func:`repro.lp.solver.solve` hands to HiGHS, or to dense matrix form
-(:meth:`LinearProgram.to_standard_arrays`), the reference the sparse export
-is tested against.
+The resulting :class:`LinearProgram` is solver-agnostic; it is exported to
+SciPy CSR form (:meth:`LinearProgram.to_sparse_arrays`), which
+:func:`repro.lp.solver.solve` hands to HiGHS.
 
 Constraints can be added one at a time (:meth:`LinearProgram.add_constraint`,
 convenient for small models) or in vectorized batches of COO triplets
@@ -611,62 +609,16 @@ class LinearProgram:
         """Number of stored nonzero constraint coefficients."""
         return int(self._gather_triplets()[2].shape[0])
 
-    def to_standard_arrays(self) -> Dict[str, np.ndarray]:
-        """Export to dense arrays (the reference for :meth:`to_sparse_arrays`).
-
-        Returns a dict with keys ``c`` (minimisation objective), ``A_ub``,
-        ``b_ub``, ``A_eq``, ``b_eq``, ``lower``, ``upper``.  ``>=``
-        constraints are negated into ``<=`` form.  Maximisation objectives
-        are negated so that the solver always minimises.
-        """
-        num_vars = self.num_variables
-        c = self.objective_vector()
-        if self._objective_sense is ObjectiveSense.MAX:
-            c = -c
-
-        rows, cols, vals, senses, rhs = self._gather_triplets()
-        eq_row_mask = senses == SENSE_EQ
-        ub_row_mask = ~eq_row_mask
-        num_ub = int(ub_row_mask.sum())
-        num_eq = int(eq_row_mask.sum())
-        # Map each global row to its position inside A_ub / A_eq, preserving
-        # the relative insertion order within each family.
-        ub_position = np.cumsum(ub_row_mask) - 1
-        eq_position = np.cumsum(eq_row_mask) - 1
-        row_sign = np.where(senses == SENSE_GE, -1.0, 1.0)
-
-        A_ub = np.zeros((num_ub, num_vars), dtype=float)
-        A_eq = np.zeros((num_eq, num_vars), dtype=float)
-        if rows.size:
-            nz_is_eq = eq_row_mask[rows]
-            ub_nz = ~nz_is_eq
-            np.add.at(
-                A_ub,
-                (ub_position[rows[ub_nz]], cols[ub_nz]),
-                vals[ub_nz] * row_sign[rows[ub_nz]],
-            )
-            np.add.at(A_eq, (eq_position[rows[nz_is_eq]], cols[nz_is_eq]), vals[nz_is_eq])
-        b_ub = (rhs * row_sign)[ub_row_mask]
-        b_eq = rhs[eq_row_mask]
-
-        lower, upper = self._bound_arrays()
-        return {
-            "c": c,
-            "A_ub": A_ub,
-            "b_ub": b_ub,
-            "A_eq": A_eq,
-            "b_eq": b_eq,
-            "lower": lower,
-            "upper": upper,
-        }
-
     def to_sparse_arrays(self) -> Dict[str, object]:
         """Export to SciPy CSR form, the form HiGHS is given.
 
-        Same keys and row ordering as :meth:`to_standard_arrays`, but
-        ``A_ub`` and ``A_eq`` are ``scipy.sparse.csr_matrix`` instances, so
-        memory and build time scale with the number of nonzeros instead of
-        ``rows x columns``.
+        Returns a dict with keys ``c`` (minimisation objective), ``A_ub``,
+        ``b_ub``, ``A_eq``, ``b_eq``, ``lower``, ``upper``.  ``>=``
+        constraints are negated into ``<=`` form and maximisation objectives
+        are negated, so the solver always minimises; each matrix keeps the
+        insertion order of its rows.  ``A_ub`` and ``A_eq`` are
+        ``scipy.sparse.csr_matrix`` instances, so memory and build time scale
+        with the number of nonzeros instead of ``rows x columns``.
         """
         from scipy import sparse
 

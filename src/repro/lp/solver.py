@@ -138,9 +138,12 @@ def solve(
     tolerance: float = 1e-9,
     max_iterations: Optional[int] = None,
     check: bool = True,
-    sparse: bool = True,
 ) -> LPSolution:
     """Solve a linear program with SciPy/HiGHS and return an :class:`LPSolution`.
+
+    The program goes to HiGHS in SciPy CSR form
+    (:meth:`~repro.lp.model.LinearProgram.to_sparse_arrays`), which HiGHS
+    consumes natively.
 
     Parameters
     ----------
@@ -154,10 +157,6 @@ def solve(
         When true (default), verify that the returned point satisfies every
         constraint of the original program to within ``100 * tolerance`` and
         raise :class:`LPError` otherwise.
-    sparse:
-        Whether to export the constraint matrices in SciPy CSR form (the
-        default; HiGHS consumes sparse matrices natively) rather than as
-        dense arrays.
 
     Raises
     ------
@@ -166,7 +165,7 @@ def solve(
     """
     global _SOLVE_CALLS
     _SOLVE_CALLS += 1
-    arrays = program.to_sparse_arrays() if sparse else program.to_standard_arrays()
+    arrays = program.to_sparse_arrays()
     raw = scipy_backend.solve_general_form(
         arrays["c"],
         arrays["A_ub"],

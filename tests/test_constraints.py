@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from _reference import build_loop_mechanism_lp
+
 from repro.core.constraints import MechanismLPBuilder, build_mechanism_lp
 from repro.core.losses import Objective
 from repro.core.properties import ALL_PROPERTIES, StructuralProperty, check_all_properties
@@ -137,15 +139,15 @@ class TestVectorizedEmitterEquivalence:
     def test_every_property_combination_matches_loop_builder(self, n):
         """Property-style exhaustive check over all 2^7 property subsets."""
         for combo in _property_combinations():
-            vectorized = build_mechanism_lp(n, 0.73, properties=combo, vectorized=True)
-            loop_based = build_mechanism_lp(n, 0.73, properties=combo, vectorized=False)
+            vectorized = build_mechanism_lp(n, 0.73, properties=combo)
+            loop_based = build_loop_mechanism_lp(n, 0.73, properties=combo)
             _assert_same_program(vectorized, loop_based)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_alpha_edge_cases_match(self, alpha):
         # alpha = 0 exercises the zero-coefficient dropping path.
-        vectorized = build_mechanism_lp(4, alpha, properties="all", vectorized=True)
-        loop_based = build_mechanism_lp(4, alpha, properties="all", vectorized=False)
+        vectorized = build_mechanism_lp(4, alpha, properties="all")
+        loop_based = build_loop_mechanism_lp(4, alpha, properties="all")
         _assert_same_program(vectorized, loop_based)
 
     @pytest.mark.parametrize(
@@ -154,33 +156,27 @@ class TestVectorizedEmitterEquivalence:
         ids=["l1", "l2", "l0d2", "minimax"],
     )
     def test_objectives_match(self, objective):
-        vectorized = build_mechanism_lp(5, 0.8, objective=objective, vectorized=True)
-        loop_based = build_mechanism_lp(5, 0.8, objective=objective, vectorized=False)
+        vectorized = build_mechanism_lp(5, 0.8, objective=objective)
+        loop_based = build_loop_mechanism_lp(5, 0.8, objective=objective)
         _assert_same_program(vectorized, loop_based)
 
     def test_weighted_objective_matches(self):
         weights = [1.0, 2.0, 3.0, 2.0, 1.0, 0.5]
-        vectorized = build_mechanism_lp(
-            5, 0.8, objective=Objective.l0(weights=weights), vectorized=True
-        )
-        loop_based = build_mechanism_lp(
-            5, 0.8, objective=Objective.l0(weights=weights), vectorized=False
-        )
+        vectorized = build_mechanism_lp(5, 0.8, objective=Objective.l0(weights=weights))
+        loop_based = build_loop_mechanism_lp(5, 0.8, objective=Objective.l0(weights=weights))
         _assert_same_program(vectorized, loop_based)
 
     @pytest.mark.parametrize("output_alpha", [0.0, 0.6])
     def test_output_dp_matches(self, output_alpha):
-        vectorized = build_mechanism_lp(
-            4, 0.8, properties="all", output_alpha=output_alpha, vectorized=True
-        )
-        loop_based = build_mechanism_lp(
-            4, 0.8, properties="all", output_alpha=output_alpha, vectorized=False
+        vectorized = build_mechanism_lp(4, 0.8, properties="all", output_alpha=output_alpha)
+        loop_based = build_loop_mechanism_lp(
+            4, 0.8, properties="all", output_alpha=output_alpha
         )
         _assert_same_program(vectorized, loop_based)
 
     def test_solutions_identical_across_builders(self):
-        vectorized = build_mechanism_lp(6, 0.85, properties="all", vectorized=True)
-        loop_based = build_mechanism_lp(6, 0.85, properties="all", vectorized=False)
+        vectorized = build_mechanism_lp(6, 0.85, properties="all")
+        loop_based = build_loop_mechanism_lp(6, 0.85, properties="all")
         solution_v = solve(vectorized.program)
         solution_l = solve(loop_based.program)
         assert np.array_equal(solution_v.values, solution_l.values)
@@ -213,3 +209,68 @@ class TestMatrixFromValues:
         matrix = mechanism_lp.matrix_from_values(solution.values)
         assert matrix.shape == (4, 4)
         assert np.allclose(matrix.sum(axis=0), 1.0)
+
+
+# --------------------------------------------------------------------- #
+# Canonical constraint order
+# --------------------------------------------------------------------- #
+_BLOCK_PREFIXES = {
+    "row_honesty": StructuralProperty.ROW_HONESTY,
+    "row_monotone": StructuralProperty.ROW_MONOTONE,
+    "column_honesty": StructuralProperty.COLUMN_HONESTY,
+    "column_monotone": StructuralProperty.COLUMN_MONOTONE,
+    "fairness": StructuralProperty.FAIRNESS,
+    "weak_honesty": StructuralProperty.WEAK_HONESTY,
+    "symmetry": StructuralProperty.SYMMETRY,
+}
+
+#: Designs every (n, spec) pair below at alpha = 0.9 and prints the sha256 of
+#: each design matrix.  These points are degenerate: HiGHS has several optimal
+#: vertices to choose from, so they expose any change in constraint order.
+_DIGEST_SCRIPT = """
+import hashlib, json
+from repro.core.design import design_mechanism
+digests = {}
+for n in (10, 16, 24):
+    for spec in ("all", "CH+RH", "WH+CM"):
+        matrix = design_mechanism(n, 0.9, properties=spec).matrix
+        digests[f"{n}/{spec}"] = hashlib.sha256(matrix.tobytes()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+class TestCanonicalConstraintOrder:
+    @pytest.mark.parametrize("spec", ["all", "CH+RH", "WH+CM"])
+    def test_property_blocks_follow_the_paper_order(self, spec):
+        program = build_mechanism_lp(4, 0.8, properties=spec).program
+        blocks = []
+        for constraint in program.constraints:
+            for prefix, prop in _BLOCK_PREFIXES.items():
+                if constraint.name.startswith(prefix) and prop not in blocks:
+                    blocks.append(prop)
+        assert blocks == [prop for prop in ALL_PROPERTIES if prop in blocks]
+
+    def test_designs_identical_across_hash_seeds(self):
+        """The same key designs the same matrix whatever ``PYTHONHASHSEED`` is."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        runs = {}
+        for hash_seed in ("0", "7", "13"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+            output = subprocess.run(
+                [sys.executable, "-c", _DIGEST_SCRIPT],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            runs[hash_seed] = json.loads(output)
+        assert len(runs["0"]) == 9
+        assert runs["7"] == runs["0"]
+        assert runs["13"] == runs["0"]

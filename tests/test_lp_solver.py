@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from _reference import dense_arrays, solve_dense
 
 from repro.lp import scipy_backend
 from repro.lp.model import LinearProgram
@@ -89,7 +90,7 @@ class TestSolve:
     def test_solve_call_count_counts_each_solve(self):
         before = solve_call_count()
         solve(_knapsack_lp())
-        solve(_knapsack_lp(), sparse=False)
+        solve(_knapsack_lp(), check=False)
         assert solve_call_count() == before + 2
         assert reset_solve_call_count() == before + 2
         assert solve_call_count() == 0
@@ -196,7 +197,7 @@ class TestGeneralForm:
 
 
 class TestDenseExport:
-    """``to_standard_arrays``: the dense reference for the sparse export."""
+    """``dense_arrays``: the dense reference for the sparse export."""
 
     def _mixed_lp(self) -> LinearProgram:
         lp = LinearProgram("mixed")
@@ -211,21 +212,21 @@ class TestDenseExport:
         return lp
 
     def test_ge_rows_are_negated_into_le_form(self):
-        arrays = self._mixed_lp().to_standard_arrays()
+        arrays = dense_arrays(self._mixed_lp())
         np.testing.assert_array_equal(arrays["A_ub"], [[1.0, 2.0, 0.0], [0.0, -1.0, 1.0]])
         np.testing.assert_array_equal(arrays["b_ub"], [7.0, 3.0])
 
     def test_equality_rows_keep_insertion_order(self):
-        arrays = self._mixed_lp().to_standard_arrays()
+        arrays = dense_arrays(self._mixed_lp())
         np.testing.assert_array_equal(arrays["A_eq"], [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         np.testing.assert_array_equal(arrays["b_eq"], [5.0, 0.5])
 
     def test_maximisation_objective_is_negated(self):
-        arrays = self._mixed_lp().to_standard_arrays()
+        arrays = dense_arrays(self._mixed_lp())
         np.testing.assert_array_equal(arrays["c"], [-1.0, 0.0, -2.0])
 
     def test_bounds_are_exported(self):
-        arrays = self._mixed_lp().to_standard_arrays()
+        arrays = dense_arrays(self._mixed_lp())
         np.testing.assert_array_equal(arrays["lower"], [1.0, -np.inf, 0.0])
         np.testing.assert_array_equal(arrays["upper"], [4.0, np.inf, np.inf])
 
@@ -234,7 +235,7 @@ class TestDenseExport:
 
         mechanism_lp = build_mechanism_lp(n=4, alpha=0.9, properties="all").program
         for program in (self._mixed_lp(), mechanism_lp):
-            dense = program.to_standard_arrays()
+            dense = dense_arrays(program)
             sparse_arrays = program.to_sparse_arrays()
             for key in ("A_ub", "A_eq"):
                 np.testing.assert_array_equal(sparse_arrays[key].toarray(), dense[key])
@@ -250,8 +251,8 @@ class TestSparseSolvePath:
 
     def test_sparse_and_dense_exports_reach_identical_solutions(self):
         program = self._program()
-        sparse_solution = solve(program, sparse=True)
-        dense_solution = solve(program, sparse=False)
+        sparse_solution = solve(program)
+        dense_solution = solve_dense(program)
         assert np.array_equal(sparse_solution.values, dense_solution.values)
         assert sparse_solution.objective == pytest.approx(dense_solution.objective)
 
@@ -286,7 +287,11 @@ class TestSparseSolvePath:
 
 
 def test_no_function_takes_a_solver_choice():
-    """HiGHS is the only solver: nothing in the package selects or seeds one."""
+    """HiGHS is the only solver: nothing in the package selects or seeds one.
+
+    Nor does anything select the LP's emitters or its export: the program
+    has one builder and one (sparse) export.
+    """
     import importlib
     import inspect
     import pkgutil
@@ -313,6 +318,6 @@ def test_no_function_takes_a_solver_choice():
                     parameters = inspect.signature(candidate).parameters
                 except (TypeError, ValueError):
                     continue
-                if {"backend", "warm_start"} & set(parameters):
+                if {"backend", "warm_start", "vectorized", "sparse"} & set(parameters):
                     offenders.append(f"{module.__name__}.{getattr(candidate, '__qualname__', name)}")
     assert offenders == []
