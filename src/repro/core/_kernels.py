@@ -24,8 +24,8 @@ returns exactly the values of the numpy path on the same ``(table, cdfs,
 counts, uniforms)`` inputs.  Guide hits read the same precomputed
 inverse-CDF index; ambiguous elements are answered by a binary search that
 reproduces ``np.searchsorted(cdf_row, u, side="right")`` — the inversion
-every representation's exact sampler performs (see
-:meth:`~repro.core.mechanism.Mechanism._sampling_cdf_row`).  The test-suite
+every representation's exact sampler performs over the rows of
+:meth:`~repro.core.mechanism.Mechanism.column_cdfs`.  The test-suite
 proves the identity whenever numba is importable, and the pure-numpy path
 is itself proven bit-identical to the sequential reference samplers.
 """

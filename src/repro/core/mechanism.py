@@ -32,20 +32,21 @@ demand for backward compatibility.  The class-level counter
 materialised (eager or lazy), so tests and examples can assert that a
 serving path never built one.
 
-Sampling equivalence guarantee: for ``n <= ClosedFormMechanism.
-EXACT_SAMPLING_LIMIT`` the non-dense backends build each needed column's
-CDF with the exact float operations of the dense sampler, so closed-form /
-sparse / dense mechanisms with bit-identical columns release bit-identical
-counts on a shared uniform stream (the test-suite proves this up to
-``n = 512``).  Above the limit, closed forms switch to an O(1)-memory
-analytic inverse-CDF bisection (same distribution, same one-uniform-per-
-element stream consumption).
+Sampling equivalence guarantee: every representation samples by inverting
+the rows of one ``(n + 1) x (n + 1)`` column-CDF table,
+:meth:`Mechanism.column_cdfs`.  The non-dense backends build each row with
+the exact float operations of the dense sampler's scalar path, so
+closed-form / sparse / dense mechanisms with bit-identical columns release
+bit-identical counts on a shared uniform stream (the test-suite proves this
+up to ``n = 512``).  Closed forms use the table only for ``n <=
+ClosedFormMechanism.EXACT_SAMPLING_LIMIT``; above it they switch to an
+O(1)-memory analytic inverse-CDF bisection (same distribution, same
+one-uniform-per-element stream consumption).
 """
 
 from __future__ import annotations
 
 import json
-from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -120,9 +121,6 @@ class Mechanism:
 
     #: Column-block width used by the streaming (columns-on-demand) paths.
     BLOCK_COLUMNS = 256
-
-    #: Max number of per-column CDFs cached by the column-exact sampler.
-    CDF_CACHE_COLUMNS = 512
 
     #: Guide-table resolution (bins per column) for the tiled sampler's
     #: O(1)-per-element fast path.  Must be a power of two: scaling a
@@ -378,38 +376,51 @@ class Mechanism:
         return outputs.astype(int, copy=False)
 
     def column_cdfs(self) -> np.ndarray:
-        """Per-input output CDFs, ``cdfs[j]`` = inverse-sampling CDF of column ``j``.
+        """The sampling table: ``cdfs[j]`` is the inverse-sampling CDF of column ``j``.
 
         Row ``j`` reproduces exactly the CDF that ``numpy``'s
         ``Generator.choice`` builds inside :meth:`sample` (clip negatives,
-        normalise, cumulate, renormalise the final entry to 1), so sampling
-        by ``searchsorted`` over these rows is bit-identical to the scalar
-        path.  The array is computed once and cached on the mechanism; do
-        not mutate :attr:`matrix` in place after sampling has started.
+        normalise, cumulate, renormalise the final entry to 1), so every
+        row is non-decreasing and ends at exactly 1.0, and sampling by
+        ``searchsorted`` over these rows is bit-identical to the scalar
+        path.  It is the one structure :meth:`_inverse_sample` and the
+        guide-table sampler read, for every representation that samples
+        exactly.  The dense backend derives it from its matrix in bulk; the
+        other backends fill a preallocated array row by row, in place, with
+        the scalar path's float operations on each column.
 
-        Note this materialises a full ``(n + 1)^2`` array — it is the dense
-        sampler's precomputation, not something the non-dense backends need.
+        The table is built once and cached on the mechanism; do not mutate
+        :attr:`matrix` in place after sampling has started.  It costs
+        ``(n + 1)^2 * 8`` bytes: 8 MB at ``n = 1000``, 33.5 MB at ``n =
+        2048``.
         """
         cached = self.__dict__.get("_column_cdfs")
         if cached is None:
-            # C-contiguous rows so the row reductions below use the same
-            # pairwise-summation order as the 1-D scalar sampling path.
-            columns = np.ascontiguousarray(np.clip(self.matrix.T, 0.0, None))
-            columns = columns / columns.sum(axis=1, keepdims=True)
-            cached = np.cumsum(columns, axis=1)
-            cached /= cached[:, -1:]
+            if self.is_dense:
+                # C-contiguous rows so the row reductions below use the same
+                # pairwise-summation order as the 1-D scalar sampling path.
+                columns = np.ascontiguousarray(np.clip(self.matrix.T, 0.0, None))
+                columns = columns / columns.sum(axis=1, keepdims=True)
+                cached = np.cumsum(columns, axis=1)
+                cached /= cached[:, -1:]
+            else:
+                cached = np.empty((self.size, self.size))
+                for j, row in enumerate(cached):
+                    np.clip(self._column(j), 0.0, None, out=row)
+                    row /= row.sum()
+                    np.cumsum(row, out=row)
+                    row /= row[-1]
             self.__dict__["_column_cdfs"] = cached
         return cached
 
     def prepare_sampling(self) -> None:
-        """Run any per-mechanism sampling precomputation eagerly.
+        """Build the :meth:`column_cdfs` table now, if this mechanism samples from it.
 
-        The dense backend precomputes its ``(n + 1)^2`` column-CDF table so
-        the first batch is not slower than the rest; the non-dense backends
-        have nothing global to precompute (their per-column CDF caches warm
-        on demand).  The serving layer calls this once per cached design.
+        The first batch is then no slower than the rest.  Closed forms above
+        ``EXACT_SAMPLING_LIMIT`` sample by analytic bisection and build
+        nothing.  The serving layer calls this once per compiled plan.
         """
-        if self.is_dense:
+        if self._samples_from_table():
             self.column_cdfs()
 
     def sample_batch(
@@ -425,10 +436,10 @@ class Mechanism:
         per element in order with the same generator — scalar and batch
         paths are interchangeable in reproducible pipelines.
 
-        Memory behaviour depends on the representation: dense uses its
-        precomputed CDF table, sparse and small-``n`` closed forms build
-        only the CDFs of columns present in the batch, and large-``n``
-        closed forms invert their analytic CDF in ``O(batch)`` memory.
+        Every representation answers the batch with one vectorised search
+        over its :meth:`column_cdfs` table, except closed forms above
+        ``EXACT_SAMPLING_LIMIT``, which invert their analytic CDF in
+        ``O(batch)`` memory.
         """
         rng = rng if rng is not None else np.random.default_rng()
         counts = self._validated_batch(true_counts)
@@ -520,36 +531,23 @@ class Mechanism:
         mechanism), so it only pays off for evaluation-sized requests; and it
         is only valid when the representation's :meth:`_inverse_sample` is
         the exact column-CDF inversion the guide accelerates
-        (:meth:`_guide_compatible`), keeping the fast path bit-identical to
+        (:meth:`_samples_from_table`), keeping the fast path bit-identical to
         the sequential one.
         """
         return (
             self.size <= self.GUIDE_SIZE_LIMIT
             and total >= self.size * self.GUIDE_BINS // 4
-            and self._guide_compatible()
+            and self._samples_from_table()
         )
 
-    def _guide_compatible(self) -> bool:
-        """Whether :meth:`_inverse_sample` inverts per-column CDFs here.
+    def _samples_from_table(self) -> bool:
+        """Whether :meth:`_inverse_sample` inverts the :meth:`column_cdfs` rows here.
 
         True for the dense and sparse backends; closed forms override this
         to exclude their analytic-bisection regime (whose float path the
         guide does not reproduce).
         """
         return True
-
-    def _sampling_cdf_row(self, j: int) -> np.ndarray:
-        """The CDF row :meth:`_inverse_sample` inverts for column ``j``.
-
-        The guide table must pre-answer *exactly* the CDF its fallback
-        inverts: the dense backend samples from its precomputed
-        :meth:`column_cdfs` table, the others from the per-column LRU cache
-        (even when their lazy ``.matrix`` shim happens to be materialised —
-        their :meth:`_inverse_sample` still reads the per-column cache).
-        """
-        if self.is_dense:
-            return self.column_cdfs()[j]
-        return self._column_cdf(j)
 
     def _guide_table(self) -> np.ndarray:
         """Flattened ``(size, GUIDE_BINS)`` int16 inverse-CDF guide (cached).
@@ -566,8 +564,7 @@ class Mechanism:
             bins = self.GUIDE_BINS
             edges = np.arange(bins + 1) / bins
             table = np.empty((self.size, bins), dtype=np.int16)
-            for j in range(self.size):
-                cdf = self._sampling_cdf_row(j)
+            for j, cdf in enumerate(self.column_cdfs()):
                 # For u in [edges[b], edges[b+1]): searchsorted(cdf, u,
                 # "right") is bracketed by these two counts; equal bounds
                 # make the whole bin unambiguous.
@@ -578,38 +575,21 @@ class Mechanism:
             self.__dict__["_guide"] = cached
         return cached
 
-    def _guide_sampling_cdfs(self) -> np.ndarray:
-        """Stacked ``(size, size)`` per-column sampling CDFs (cached).
-
-        Row ``j`` is exactly :meth:`_sampling_cdf_row` ``(j)`` — the CDF the
-        exact fallback inverts — so a kernel doing its own binary search
-        over these rows answers ambiguous guide bins bit-identically to
-        :meth:`_inverse_sample`.  Only the JIT kernel needs the full stack;
-        the numpy path keeps using the per-column caches.
-        """
-        cached = self.__dict__.get("_guide_cdfs")
-        if cached is None:
-            if self.is_dense:
-                cached = self.column_cdfs()
-            else:
-                cached = np.vstack([self._sampling_cdf_row(j) for j in range(self.size)])
-            self.__dict__["_guide_cdfs"] = cached
-        return cached
-
     def _sample_by_guide(self, counts: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         """O(1)-per-element exact inverse-CDF sampling via the guide table.
 
         Bit-identical to :meth:`_inverse_sample` on the same inputs: guide
         hits read the pre-computed inverse-CDF index, and the few bin-
         boundary elements are answered by :meth:`_inverse_sample` itself
-        (numpy path) or by an inline binary search over the same CDF rows
-        (the optional numba kernel — see :mod:`repro.core._kernels`;
-        ``REPRO_NO_NUMBA=1`` forces the numpy path).
+        (numpy path) or by an inline binary search over the same
+        :meth:`column_cdfs` rows (the optional numba kernel — see
+        :mod:`repro.core._kernels`; ``REPRO_NO_NUMBA=1`` forces the numpy
+        path).
         """
         table = self._guide_table()
         if _kernels.kernel_active():
             return _kernels.guide_sample_jit(
-                table, self._guide_sampling_cdfs(), counts, uniforms, self.GUIDE_BINS
+                table, self.column_cdfs(), counts, uniforms, self.GUIDE_BINS
             )
         return _kernels.guide_sample_numpy(
             table, counts, uniforms, self.GUIDE_BINS, self._inverse_sample
@@ -624,73 +604,27 @@ class Mechanism:
         return self.sample_batch(true_counts, rng=rng)
 
     def _inverse_sample(self, counts: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        """Invert the per-column CDFs at the given uniforms (dense backend).
+        """Invert the :meth:`column_cdfs` rows at the given uniforms.
 
-        The column CDFs are precomputed once (:meth:`column_cdfs`) and the
-        whole batch is answered with one ``searchsorted`` over a
-        column-offset CDF instead of a Python-level loop.
+        Element ``k`` gets ``searchsorted(cdfs[counts[k]], uniforms[k],
+        side="right")``: the smallest index whose CDF exceeds the uniform.
+        The whole batch is answered by one vectorised binary search, whose
+        ``ceil(log2(size))`` rounds each gather one table entry per element.
+        Every row is non-decreasing and ends at exactly 1.0, so for ``u`` in
+        ``[0, 1)`` the answer lies in ``[0, size - 1]`` and the search is
+        exact by construction.
         """
-        cdfs = self.column_cdfs()
-        # Offsetting column j's CDF (values in (0, 1]) by +j makes the
-        # flattened array globally non-decreasing, so one searchsorted
-        # answers every count in the batch at once.
-        flat = (cdfs + np.arange(self.size)[:, None]).ravel()
-        positions = np.searchsorted(flat, counts + uniforms, side="right")
-        # ``count + u`` can round up to exactly ``count + 1`` (u within one
-        # ulp of 1), letting the search run into the next column's block;
-        # the true inverse-CDF index never exceeds size - 1, so clamp and
-        # let the fix-up below walk back to the exact answer.
-        released = np.minimum(positions - counts * self.size, self.size - 1)
-        # Adding the integer offset can round a near-tie ``cdf > u`` down to
-        # equality, overshooting the inverse-CDF index by one; walk any such
-        # element back until it matches the un-offset comparison exactly.
-        while True:
-            overshoot = (released > 0) & (cdfs[counts, released - 1] > uniforms)
-            if not overshoot.any():
-                break
-            released[overshoot] -= 1
-        return released
-
-    # Shared column-exact sampler used by the non-dense backends ---------- #
-    def _column_cdf(self, j: int) -> np.ndarray:
-        """CDF of column ``j`` built exactly like the dense sampler's (LRU-cached)."""
-        cache: "OrderedDict[int, np.ndarray]" = self.__dict__.setdefault(
-            "_cdf_cache", OrderedDict()
-        )
-        cdf = cache.get(j)
-        if cdf is None:
-            column = np.clip(self._column(j), 0.0, None)
-            column = column / column.sum()
-            cdf = np.cumsum(column)
-            cdf /= cdf[-1]
-            cache[j] = cdf
-            while len(cache) > self.CDF_CACHE_COLUMNS:
-                cache.popitem(last=False)
-        else:
-            cache.move_to_end(j)
-        return cdf
-
-    def _sample_by_columns(self, counts: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        """Exact inverse-CDF sampling using only the columns present in the batch.
-
-        Groups the batch by count (one stable sort), builds each distinct
-        column's CDF once and answers the group with one ``searchsorted`` —
-        ``O(batch log batch + distinct * n)`` time, ``O(batch + distinct *
-        n)`` transient memory, never the full matrix.
-        """
-        order = np.argsort(counts, kind="stable")
-        sorted_counts = counts[order]
-        # Group boundaries: positions where the sorted count changes.
-        boundaries = np.flatnonzero(np.diff(sorted_counts)) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [counts.shape[0]]))
-        released = np.empty(counts.shape[0], dtype=np.int64)
-        for start, end in zip(starts, ends):
-            j = int(sorted_counts[start])
-            indices = order[start:end]
-            cdf = self._column_cdf(j)
-            released[indices] = np.searchsorted(cdf, uniforms[indices], side="right")
-        return released
+        flat = self.column_cdfs().ravel()
+        offsets = counts * self.size
+        low = np.zeros(counts.shape[0], dtype=np.int64)
+        high = np.full(counts.shape[0], self.size - 1, dtype=np.int64)
+        # Invariant: cdf[low - 1] <= u < cdf[high]; each round halves the span.
+        for _ in range((self.size - 1).bit_length()):
+            mid = (low + high) >> 1
+            above = flat[offsets + mid] > uniforms
+            high = np.where(above, mid, high)
+            low = np.where(above, low, mid + 1)
+        return low
 
     def apply(
         self,
@@ -945,17 +879,17 @@ class ClosedFormMechanism(Mechanism):
     """A mechanism represented by analytic column/CDF functions, not a matrix.
 
     Sampling strategy: for ``n <= EXACT_SAMPLING_LIMIT`` (or when no
-    analytic CDF is available) the exact column-CDF sampler is used — it
-    reproduces the dense sampler bit-for-bit on a shared uniform stream
-    while only ever materialising the columns present in a batch.  Above
-    the limit, the analytic CDF is inverted by vectorised bisection:
-    ``O(batch log n)`` time and ``O(batch)`` memory, which is what lets
-    ``serve-batch`` release millions of counts at ``n = 10^5``.
+    analytic CDF is available) the exact sampler over the
+    :meth:`~Mechanism.column_cdfs` table is used — it reproduces the dense
+    sampler bit-for-bit on a shared uniform stream.  Above the limit, the
+    analytic CDF is inverted by vectorised bisection: ``O(batch log n)``
+    time and ``O(batch)`` memory, which is what lets ``serve-batch``
+    release millions of counts at ``n = 10^5``.
     """
 
     representation = "closed-form"
 
-    #: Largest n for which the exact (column-CDF) sampler is used.  The
+    #: Largest n for which the exact (column-CDF table) sampler is used.  The
     #: switch is keyed on n alone so that, for a fixed mechanism, scalar and
     #: batch sampling always take the same path (and therefore stay
     #: bit-identical to each other on a shared stream).
@@ -1033,12 +967,12 @@ class ClosedFormMechanism(Mechanism):
             return None
         return dict(self.spec.properties_fn(tolerance))
 
-    def _guide_compatible(self) -> bool:
+    def _samples_from_table(self) -> bool:
         return self.spec.cdf_fn is None or self.n <= self.EXACT_SAMPLING_LIMIT
 
     def _inverse_sample(self, counts: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        if self.spec.cdf_fn is None or self.n <= self.EXACT_SAMPLING_LIMIT:
-            return self._sample_by_columns(counts, uniforms)
+        if self._samples_from_table():
+            return super()._inverse_sample(counts, uniforms)
         return self._sample_by_bisection(counts, uniforms)
 
     def _sample_by_bisection(self, counts: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -1083,9 +1017,10 @@ class SparseMechanism(Mechanism):
     The LP solutions of Sections III-IV are sparse/banded; storing only the
     non-zeros keeps designed mechanisms O(nnz) in memory and lets the
     design cache persist them as small descriptors.  Sampling uses the
-    shared column-exact inverse-CDF path (bit-identical to a dense
-    mechanism with the same column values on a shared uniform stream), and
-    property checks stream CSC column blocks at O(nnz) expansion cost.
+    shared :meth:`~Mechanism.column_cdfs` table at every ``n``
+    (bit-identical to a dense mechanism with the same column values on a
+    shared uniform stream), and property checks stream CSC column blocks at
+    O(nnz) expansion cost.
     """
 
     representation = "sparse"
@@ -1172,9 +1107,6 @@ class SparseMechanism(Mechanism):
 
     def _probability(self, i: int, j: int) -> float:
         return float(self._csc[i, j])
-
-    def _inverse_sample(self, counts: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        return self._sample_by_columns(counts, uniforms)
 
     def to_dict(self) -> Dict[str, Any]:
         """CSC representation descriptor: O(nnz) rather than O(n^2) JSON."""

@@ -14,11 +14,11 @@ plan owns
 * the **resolved mechanism** (any representation — dense, closed-form or
   sparse) plus the :class:`~repro.core.selector.SelectorDecision` that
   produced it when known;
-* **eagerly prepared sampling state** — :meth:`prepare` runs the
-  representation-appropriate warm-up (the dense backend's ``(n + 1)^2``
-  column-CDF table via :meth:`~repro.core.mechanism.Mechanism
-  .prepare_sampling`; closed forms and sparse mechanisms warm per-column
-  caches lazily by design);
+* **eagerly prepared sampling state** — :meth:`prepare` builds the
+  ``(n + 1)^2`` column-CDF table every exact sampler reads, via
+  :meth:`~repro.core.mechanism.Mechanism.prepare_sampling` (closed forms
+  above the exact-sampling limit bisect their analytic CDF and build
+  nothing);
 * **privacy metadata** — :attr:`alpha_cost`, the α charged against a
   :class:`~repro.privacy.PrivacyAccountant` per executed release;
 * an optional **post-processing hook** applied to every released array

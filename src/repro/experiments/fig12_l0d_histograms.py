@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.core.losses import l0d_score
 from repro.data.groups import GroupedCounts
@@ -42,6 +41,8 @@ DEFAULT_REPETITIONS = 30
 
 def binomial_prior(n: int, p: float) -> np.ndarray:
     """The Binomial(n, p) prior over true counts used for the analytic tails."""
+    from scipy import stats
+
     return stats.binom.pmf(np.arange(n + 1), n, p)
 
 

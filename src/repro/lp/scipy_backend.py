@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 import numpy as np
-from scipy import optimize, sparse
 
 #: scipy status codes mapped onto our status vocabulary.
 _SCIPY_STATUS = {
@@ -28,6 +27,8 @@ _SCIPY_STATUS = {
 
 def _prepare_matrix(matrix) -> Optional[object]:
     """Pass sparse matrices through untouched; densify/validate anything else."""
+    from scipy import sparse
+
     if matrix is None:
         return None
     if sparse.issparse(matrix):
@@ -53,6 +54,8 @@ def solve_general_form(
     and ``message``, with ``status`` in the vocabulary of
     :class:`repro.lp.solver.LPStatus`.
     """
+    from scipy import optimize
+
     bounds = list(zip(np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)))
     bounds = [
         (None if not np.isfinite(lo) else float(lo), None if not np.isfinite(hi) else float(hi))

@@ -180,10 +180,9 @@ class BatchReleaseSession:
             mechanism, decision = self.cache.get_or_design(
                 n, alpha, properties=properties, objective=objective
             )
-            # Compiling the plan runs the representation-aware sampling
-            # warm-up eagerly: dense mechanisms precompute their (n+1)^2
-            # CDF table; closed-form / sparse mechanisms warm per-column
-            # caches lazily and need (and must do) nothing here.
+            # Compiling the plan builds the mechanism's (n+1)^2 column-CDF
+            # sampling table once, so the plans LRU amortises it; closed
+            # forms in the bisection regime build nothing.
             plan = ReleasePlan(
                 mechanism,
                 decision=decision,

@@ -17,6 +17,11 @@ tests and benchmarks can assert that the package is bit-identical to it:
   :func:`repro.eval.empirical.evaluate_mechanism`.
 * :func:`release_many_loop` is the sequential ``release`` loop behind
   ``HistogramRelease.release_many``.
+* :class:`ColumnLRUSampler` and :func:`offset_search_sample` are the
+  per-column LRU sampler and the dense offset-``searchsorted`` sampler
+  that ``Mechanism._inverse_sample`` replaced with one search over
+  ``Mechanism.column_cdfs``; :func:`reference_inverse_sample` picks the one
+  a representation used.
 
 None of them is meant for large inputs.  The module is imported by both
 ``tests/`` and ``benchmarks/``; ``benchmarks/conftest.py`` puts this
@@ -25,6 +30,7 @@ directory on ``sys.path`` so either suite runs on its own.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -390,3 +396,85 @@ def release_many_loop(
         for _ in range(int(repetitions))
     ]
     return np.stack(rows)
+
+
+# ---------------------------------------------------------------------- #
+# Sampling: per-column CDFs and the offset search
+# ---------------------------------------------------------------------- #
+class ColumnLRUSampler:
+    """The column-exact sampler the non-dense backends used.
+
+    Builds each column's CDF with the scalar path's float operations, keeps
+    the ``capacity`` most recently used ones, and answers a batch group by
+    group with one ``searchsorted`` per distinct count.
+    """
+
+    def __init__(self, mechanism: Mechanism, capacity: int = 512) -> None:
+        self.mechanism = mechanism
+        self.capacity = capacity
+        self.cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
+
+    def column_cdf(self, j: int) -> np.ndarray:
+        cdf = self.cache.get(j)
+        if cdf is None:
+            column = np.clip(self.mechanism._column(j), 0.0, None)
+            column = column / column.sum()
+            cdf = np.cumsum(column)
+            cdf /= cdf[-1]
+            self.cache[j] = cdf
+            while len(self.cache) > self.capacity:
+                self.cache.popitem(last=False)
+        else:
+            self.cache.move_to_end(j)
+        return cdf
+
+    def sample(self, counts: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        order = np.argsort(counts, kind="stable")
+        sorted_counts = counts[order]
+        boundaries = np.flatnonzero(np.diff(sorted_counts)) + 1
+        starts = np.concatenate(([0], boundaries))
+        ends = np.concatenate((boundaries, [counts.shape[0]]))
+        released = np.empty(counts.shape[0], dtype=np.int64)
+        for start, end in zip(starts, ends):
+            j = int(sorted_counts[start])
+            indices = order[start:end]
+            cdf = self.column_cdf(j)
+            released[indices] = np.searchsorted(cdf, uniforms[indices], side="right")
+        return released
+
+
+def offset_search_sample(
+    cdfs: np.ndarray, counts: np.ndarray, uniforms: np.ndarray
+) -> np.ndarray:
+    """The dense backend's sampler: one ``searchsorted`` over column-offset CDFs.
+
+    Offsetting row ``j`` by ``+j`` makes the flattened table non-decreasing;
+    the walk-back undoes the overshoot that rounding ``count + u`` can cause.
+    """
+    size = cdfs.shape[0]
+    flat = (cdfs + np.arange(size)[:, None]).ravel()
+    positions = np.searchsorted(flat, counts + uniforms, side="right")
+    released = np.minimum(positions - counts * size, size - 1)
+    while True:
+        overshoot = (released > 0) & (cdfs[counts, released - 1] > uniforms)
+        if not overshoot.any():
+            break
+        released[overshoot] -= 1
+    return released
+
+
+def reference_inverse_sample(
+    mechanism: Mechanism, counts: np.ndarray, uniforms: np.ndarray
+) -> np.ndarray:
+    """Exact inverse-CDF sampling as each representation did it before the table.
+
+    Dense mechanisms searched their bulk-built ``column_cdfs`` with
+    :func:`offset_search_sample`; closed forms at ``n <=
+    EXACT_SAMPLING_LIMIT`` and sparse mechanisms used a fresh
+    :class:`ColumnLRUSampler`.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    uniforms = np.asarray(uniforms, dtype=float)
+    if mechanism.is_dense:
+        return offset_search_sample(mechanism.column_cdfs(), counts, uniforms)
+    return ColumnLRUSampler(mechanism).sample(counts, uniforms)

@@ -111,7 +111,7 @@ class TestGuideKernelIdentity:
             )
             jitted = _kernels.guide_sample_jit(
                 table,
-                mechanism._guide_sampling_cdfs(),
+                mechanism.column_cdfs(),
                 counts,
                 uniforms,
                 mechanism.GUIDE_BINS,
@@ -133,21 +133,26 @@ class TestGuideKernelIdentity:
         )
         jitted = _kernels.guide_sample_jit(
             table,
-            mechanism._guide_sampling_cdfs(),
+            mechanism.column_cdfs(),
             counts,
             uniforms,
             mechanism.GUIDE_BINS,
         )
         assert np.array_equal(jitted, reference)
 
-    def test_guide_sampling_cdfs_rows_are_the_fallback_cdfs(self):
+    def test_column_cdfs_rows_are_the_fallback_cdfs(self):
         for mechanism in (_dense_gm(n=12), SparseMechanism(
             geometric_mechanism(12, 0.6).matrix, alpha=0.6
         )):
-            cdfs = mechanism._guide_sampling_cdfs()
+            cdfs = mechanism.column_cdfs()
             assert cdfs.shape == (13, 13)
             for j in range(13):
-                assert np.array_equal(cdfs[j], mechanism._sampling_cdf_row(j))
+                # Uniforms on the CDF steps themselves: ties resolve rightwards.
+                ties = cdfs[j][:-1]
+                assert np.array_equal(
+                    mechanism._inverse_sample(np.full(12, j), ties),
+                    np.searchsorted(cdfs[j], ties, side="right"),
+                )
 
 
 # --------------------------------------------------------------------- #

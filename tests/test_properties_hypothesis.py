@@ -57,7 +57,7 @@ def test_columns_are_distributions(n, alpha):
 def test_sampling_cdfs_monotone_and_normalised(n, alpha):
     for label, mechanism in representations(n, alpha).items():
         for j in range(n + 1):
-            cdf = mechanism._sampling_cdf_row(j)
+            cdf = mechanism.column_cdfs()[j]
             assert cdf.shape == (n + 1,), label
             assert np.all(np.diff(cdf) >= -1e-15), f"{label}: CDF not monotone"
             assert np.all(cdf >= -1e-12) and np.all(cdf <= 1.0 + 1e-9), label
