@@ -33,14 +33,14 @@ materialised (eager or lazy), so tests and examples can assert that a
 serving path never built one.
 
 Sampling equivalence guarantee: every representation samples by inverting
-the rows of one ``(n + 1) x (n + 1)`` column-CDF table,
-:meth:`Mechanism.column_cdfs`.  The non-dense backends build each row with
-the exact float operations of the dense sampler's scalar path, so
-closed-form / sparse / dense mechanisms with bit-identical columns release
-bit-identical counts on a shared uniform stream (the test-suite proves this
-up to ``n = 512``).  Closed forms use the table only for ``n <=
-ClosedFormMechanism.EXACT_SAMPLING_LIMIT``; above it they switch to an
-O(1)-memory analytic inverse-CDF bisection (same distribution, same
+column CDFs built with the exact float operations of the dense sampler's
+scalar path, so closed-form / sparse / dense mechanisms with bit-identical
+columns release bit-identical counts on a shared uniform stream (the
+test-suite proves this up to ``n = 512``).  For ``n <=
+Mechanism.EXACT_SAMPLING_LIMIT`` the CDFs are rows of one cached column-CDF
+table, :meth:`Mechanism.column_cdfs`, filled on first use; above it a batch
+builds only the rows it needs, except that closed forms with an analytic
+CDF switch to an O(1)-memory inverse-CDF bisection (same distribution, same
 one-uniform-per-element stream consumption).
 """
 
@@ -132,6 +132,15 @@ class Mechanism:
     #: Largest mechanism size for which :meth:`sample_tiled` builds a guide
     #: table (the table is ``size * GUIDE_BINS`` int16 entries).
     GUIDE_SIZE_LIMIT = 512
+
+    #: Largest n for which sampling caches its column CDFs in one table
+    #: (:meth:`column_cdfs`, at most ``(n + 1)^2 * 8`` bytes).  Above it a
+    #: batch builds only the CDF rows it needs, a block of columns at a
+    #: time, and closed forms with an analytic CDF bisect it instead.  The
+    #: switch is keyed on n alone so that, for a fixed mechanism, scalar and
+    #: batch sampling always take the same path (and therefore stay
+    #: bit-identical to each other on a shared stream).
+    EXACT_SAMPLING_LIMIT = 2048
 
     def __init__(
         self,
@@ -368,9 +377,12 @@ class Mechanism:
             return np.asarray(outputs, dtype=int)
         # Non-dense: the explicit inverse-CDF path (bit-identical to the
         # rng.choice path above for the same column values).
-        count = 1 if size is None else int(size)
         uniforms = np.atleast_1d(rng.random(size))
-        outputs = self._inverse_sample(np.full(count, int(true_count)), uniforms)
+        if self._inverts_column_cdfs():
+            outputs = np.searchsorted(self._cdf_row(int(true_count)), uniforms, side="right")
+        else:
+            counts = np.full(uniforms.shape[0], int(true_count))
+            outputs = self._inverse_sample(counts, uniforms)
         if size is None:
             return int(outputs[0])
         return outputs.astype(int, copy=False)
@@ -378,50 +390,71 @@ class Mechanism:
     def column_cdfs(self) -> np.ndarray:
         """The sampling table: ``cdfs[j]`` is the inverse-sampling CDF of column ``j``.
 
-        Row ``j`` reproduces exactly the CDF that ``numpy``'s
-        ``Generator.choice`` builds inside :meth:`sample` (clip negatives,
-        normalise, cumulate, renormalise the final entry to 1), so every
-        row is non-decreasing and ends at exactly 1.0, and sampling by
-        ``searchsorted`` over these rows is bit-identical to the scalar
-        path.  It is the one structure :meth:`_inverse_sample` and the
-        guide-table sampler read, for every representation that samples
-        exactly.  The dense backend derives it from its matrix in bulk; the
-        other backends fill a preallocated array row by row, in place, with
-        the scalar path's float operations on each column.
-
-        The table is built once and cached on the mechanism; do not mutate
-        :attr:`matrix` in place after sampling has started.  It costs
-        ``(n + 1)^2 * 8`` bytes: 8 MB at ``n = 1000``, 33.5 MB at ``n =
-        2048``.
+        Rows are those of :meth:`_cdf_rows`, so sampling by ``searchsorted``
+        over them is bit-identical to the scalar path.  Within
+        ``EXACT_SAMPLING_LIMIT`` every sampler reads this one cached table
+        and fills a row the first time a batch needs it, so a mechanism
+        builds each column's CDF at most once and only for the columns its
+        traffic touches.  The array is allocated whole: ``(n + 1)^2 * 8``
+        bytes, 8 MB at ``n = 1000`` and 33.5 MB at ``n = 2048``.  This call
+        fills every row; the guide-table sampler needs them all.  Do not
+        mutate :attr:`matrix` in place after sampling has started.
         """
-        cached = self.__dict__.get("_column_cdfs")
-        if cached is None:
-            if self.is_dense:
-                # C-contiguous rows so the row reductions below use the same
-                # pairwise-summation order as the 1-D scalar sampling path.
-                columns = np.ascontiguousarray(np.clip(self.matrix.T, 0.0, None))
-                columns = columns / columns.sum(axis=1, keepdims=True)
-                cached = np.cumsum(columns, axis=1)
-                cached /= cached[:, -1:]
-            else:
-                cached = np.empty((self.size, self.size))
-                for j, row in enumerate(cached):
-                    np.clip(self._column(j), 0.0, None, out=row)
-                    row /= row.sum()
-                    np.cumsum(row, out=row)
-                    row /= row[-1]
-            self.__dict__["_column_cdfs"] = cached
-        return cached
+        return self._filled_table(np.arange(self.size))
+
+    def _cdf_rows(self, columns: np.ndarray) -> np.ndarray:
+        """Inverse-sampling CDFs of ``columns``, one C-contiguous row each.
+
+        Each row reproduces exactly the CDF that ``numpy``'s
+        ``Generator.choice`` builds inside :meth:`sample` (clip negatives,
+        normalise, cumulate, renormalise the final entry to 1), so every row
+        is non-decreasing and ends at exactly 1.0.
+        """
+        rows = np.empty((columns.shape[0], self.size))
+        for row, j in zip(rows, columns.tolist()):
+            np.clip(self._column(j), 0.0, None, out=row)
+            row /= row.sum()
+            np.cumsum(row, out=row)
+            row /= row[-1]
+        return rows
+
+    def _filled_table(self, counts: np.ndarray) -> np.ndarray:
+        """The cached :meth:`column_cdfs` table with the rows of ``counts`` filled.
+
+        Missing rows are built a block at a time, copied in, and only then
+        marked filled, so no reader sees a half-built row.
+        """
+        state = self.__dict__.get("_cdf_table")
+        if state is None:
+            state = (np.empty((self.size, self.size)), np.zeros(self.size, dtype=bool))
+            self.__dict__["_cdf_table"] = state
+        table, filled = state
+        missing = counts[~filled[counts]]
+        if missing.size:
+            missing = np.unique(missing)
+            for start in range(0, missing.shape[0], self.BLOCK_COLUMNS):
+                block = missing[start : start + self.BLOCK_COLUMNS]
+                table[block] = self._cdf_rows(block)
+                filled[block] = True
+        return table
+
+    def _cdf_row(self, j: int) -> np.ndarray:
+        """Column ``j``'s inverse-sampling CDF (a table row within the limit)."""
+        column = np.array([j])
+        if self.n <= self.EXACT_SAMPLING_LIMIT:
+            return self._filled_table(column)[j]
+        return self._cdf_rows(column)[0]
 
     def prepare_sampling(self) -> None:
-        """Build the :meth:`column_cdfs` table now, if this mechanism samples from it.
+        """Reserve the :meth:`column_cdfs` table if this mechanism keeps one.
 
-        The first batch is then no slower than the rest.  Closed forms above
-        ``EXACT_SAMPLING_LIMIT`` sample by analytic bisection and build
-        nothing.  The serving layer calls this once per compiled plan.
+        Rows are filled on first use, so this builds no column: a compiled
+        plan builds only the columns its traffic touches.
+        Mechanisms above ``EXACT_SAMPLING_LIMIT`` keep no table.  The
+        serving layer calls this once per compiled plan.
         """
-        if self._samples_from_table():
-            self.column_cdfs()
+        if self.n <= self.EXACT_SAMPLING_LIMIT:
+            self._filled_table(np.empty(0, dtype=np.int64))
 
     def sample_batch(
         self,
@@ -437,8 +470,8 @@ class Mechanism:
         paths are interchangeable in reproducible pipelines.
 
         Every representation answers the batch with one vectorised search
-        over its :meth:`column_cdfs` table, except closed forms above
-        ``EXACT_SAMPLING_LIMIT``, which invert their analytic CDF in
+        over column-CDF rows (:meth:`_inverse_sample`), except closed forms
+        above ``EXACT_SAMPLING_LIMIT``, which invert their analytic CDF in
         ``O(batch)`` memory.
         """
         rng = rng if rng is not None else np.random.default_rng()
@@ -531,17 +564,17 @@ class Mechanism:
         mechanism), so it only pays off for evaluation-sized requests; and it
         is only valid when the representation's :meth:`_inverse_sample` is
         the exact column-CDF inversion the guide accelerates
-        (:meth:`_samples_from_table`), keeping the fast path bit-identical to
-        the sequential one.
+        (:meth:`_inverts_column_cdfs`), keeping the fast path bit-identical
+        to the sequential one.
         """
         return (
             self.size <= self.GUIDE_SIZE_LIMIT
             and total >= self.size * self.GUIDE_BINS // 4
-            and self._samples_from_table()
+            and self._inverts_column_cdfs()
         )
 
-    def _samples_from_table(self) -> bool:
-        """Whether :meth:`_inverse_sample` inverts the :meth:`column_cdfs` rows here.
+    def _inverts_column_cdfs(self) -> bool:
+        """Whether :meth:`_inverse_sample` inverts column CDFs (:meth:`_cdf_rows`) here.
 
         True for the dense and sparse backends; closed forms override this
         to exclude their analytic-bisection regime (whose float path the
@@ -604,27 +637,26 @@ class Mechanism:
         return self.sample_batch(true_counts, rng=rng)
 
     def _inverse_sample(self, counts: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        """Invert the :meth:`column_cdfs` rows at the given uniforms.
+        """Invert the column CDFs of ``counts`` at the given uniforms.
 
-        Element ``k`` gets ``searchsorted(cdfs[counts[k]], uniforms[k],
-        side="right")``: the smallest index whose CDF exceeds the uniform.
-        The whole batch is answered by one vectorised binary search, whose
-        ``ceil(log2(size))`` rounds each gather one table entry per element.
-        Every row is non-decreasing and ends at exactly 1.0, so for ``u`` in
-        ``[0, 1)`` the answer lies in ``[0, size - 1]`` and the search is
-        exact by construction.
+        Element ``k`` gets ``searchsorted(cdf, uniforms[k], side="right")``
+        for the CDF of column ``counts[k]``: the smallest index whose CDF
+        exceeds the uniform.  Within ``EXACT_SAMPLING_LIMIT`` the rows come
+        from the cached :meth:`column_cdfs` table; above it, from a fresh
+        :meth:`_cdf_rows` block per ``BLOCK_COLUMNS`` distinct counts, so
+        memory stays ``O(BLOCK_COLUMNS * size)``.
         """
-        flat = self.column_cdfs().ravel()
-        offsets = counts * self.size
-        low = np.zeros(counts.shape[0], dtype=np.int64)
-        high = np.full(counts.shape[0], self.size - 1, dtype=np.int64)
-        # Invariant: cdf[low - 1] <= u < cdf[high]; each round halves the span.
-        for _ in range((self.size - 1).bit_length()):
-            mid = (low + high) >> 1
-            above = flat[offsets + mid] > uniforms
-            high = np.where(above, mid, high)
-            low = np.where(above, low, mid + 1)
-        return low
+        if self.n <= self.EXACT_SAMPLING_LIMIT:
+            return _search_rows(self._filled_table(counts), counts, uniforms)
+        columns, rows = np.unique(counts, return_inverse=True)
+        released = np.empty(counts.shape[0], dtype=np.int64)
+        for start in range(0, columns.shape[0], self.BLOCK_COLUMNS):
+            block = columns[start : start + self.BLOCK_COLUMNS]
+            selected = (rows >= start) & (rows < start + block.shape[0])
+            released[selected] = _search_rows(
+                self._cdf_rows(block), rows[selected] - start, uniforms[selected]
+            )
+        return released
 
     def apply(
         self,
@@ -879,8 +911,8 @@ class ClosedFormMechanism(Mechanism):
     """A mechanism represented by analytic column/CDF functions, not a matrix.
 
     Sampling strategy: for ``n <= EXACT_SAMPLING_LIMIT`` (or when no
-    analytic CDF is available) the exact sampler over the
-    :meth:`~Mechanism.column_cdfs` table is used — it reproduces the dense
+    analytic CDF is available) the exact column-CDF sampler of
+    :meth:`~Mechanism._inverse_sample` is used — it reproduces the dense
     sampler bit-for-bit on a shared uniform stream.  Above the limit, the
     analytic CDF is inverted by vectorised bisection: ``O(batch log n)``
     time and ``O(batch)`` memory, which is what lets ``serve-batch``
@@ -888,12 +920,6 @@ class ClosedFormMechanism(Mechanism):
     """
 
     representation = "closed-form"
-
-    #: Largest n for which the exact (column-CDF table) sampler is used.  The
-    #: switch is keyed on n alone so that, for a fixed mechanism, scalar and
-    #: batch sampling always take the same path (and therefore stay
-    #: bit-identical to each other on a shared stream).
-    EXACT_SAMPLING_LIMIT = 2048
 
     def __init__(
         self,
@@ -967,11 +993,11 @@ class ClosedFormMechanism(Mechanism):
             return None
         return dict(self.spec.properties_fn(tolerance))
 
-    def _samples_from_table(self) -> bool:
+    def _inverts_column_cdfs(self) -> bool:
         return self.spec.cdf_fn is None or self.n <= self.EXACT_SAMPLING_LIMIT
 
     def _inverse_sample(self, counts: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        if self._samples_from_table():
+        if self._inverts_column_cdfs():
             return super()._inverse_sample(counts, uniforms)
         return self._sample_by_bisection(counts, uniforms)
 
@@ -1016,11 +1042,12 @@ class SparseMechanism(Mechanism):
 
     The LP solutions of Sections III-IV are sparse/banded; storing only the
     non-zeros keeps designed mechanisms O(nnz) in memory and lets the
-    design cache persist them as small descriptors.  Sampling uses the
-    shared :meth:`~Mechanism.column_cdfs` table at every ``n``
-    (bit-identical to a dense mechanism with the same column values on a
-    shared uniform stream), and property checks stream CSC column blocks at
-    O(nnz) expansion cost.
+    design cache persist them as small descriptors.  Sampling inverts the
+    same column-CDF rows as every representation (bit-identical to a dense
+    mechanism with the same column values on a shared uniform stream); they
+    are expanded per column, so sampling costs ``O(size)`` time and memory
+    per column it touches, on top of the ``O(nnz)`` storage.  Property
+    checks stream CSC column blocks at O(nnz) expansion cost.
     """
 
     representation = "sparse"
@@ -1144,6 +1171,28 @@ class SparseMechanism(Mechanism):
 
     def __reduce__(self):
         return (Mechanism.from_dict, (self.to_dict(),))
+
+
+def _search_rows(table: np.ndarray, rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """``searchsorted(table[rows[k]], uniforms[k], side="right")`` for every ``k``.
+
+    One vectorised binary search whose ``ceil(log2(width))`` rounds each
+    gather one table entry per element.  Every row is non-decreasing and
+    ends at exactly 1.0, so for ``u`` in ``[0, 1)`` the answer lies in ``[0,
+    width - 1]`` and the search is exact by construction.
+    """
+    width = table.shape[1]
+    flat = table.ravel()
+    offsets = rows * width
+    low = np.zeros(rows.shape[0], dtype=np.int64)
+    high = np.full(rows.shape[0], width - 1, dtype=np.int64)
+    # Invariant: cdf[low - 1] <= u < cdf[high]; each round halves the span.
+    for _ in range((width - 1).bit_length()):
+        mid = (low + high) >> 1
+        above = flat[offsets + mid] > uniforms
+        high = np.where(above, mid, high)
+        low = np.where(above, low, mid + 1)
+    return low
 
 
 def _normalise_prior(prior: Optional[Sequence[float]], size: int) -> np.ndarray:

@@ -14,11 +14,11 @@ plan owns
 * the **resolved mechanism** (any representation — dense, closed-form or
   sparse) plus the :class:`~repro.core.selector.SelectorDecision` that
   produced it when known;
-* **eagerly prepared sampling state** — :meth:`prepare` builds the
-  ``(n + 1)^2`` column-CDF table every exact sampler reads, via
-  :meth:`~repro.core.mechanism.Mechanism.prepare_sampling` (closed forms
-  above the exact-sampling limit bisect their analytic CDF and build
-  nothing);
+* **prepared sampling state** — :meth:`prepare` reserves the ``(n +
+  1)^2`` column-CDF table every exact sampler reads, via
+  :meth:`~repro.core.mechanism.Mechanism.prepare_sampling`; its rows are
+  filled the first time a release touches their column (mechanisms above
+  the exact-sampling limit keep no table);
 * **privacy metadata** — :attr:`alpha_cost`, the α charged against a
   :class:`~repro.privacy.PrivacyAccountant` per executed release;
 * an optional **post-processing hook** applied to every released array

@@ -180,9 +180,9 @@ class BatchReleaseSession:
             mechanism, decision = self.cache.get_or_design(
                 n, alpha, properties=properties, objective=objective
             )
-            # Compiling the plan builds the mechanism's (n+1)^2 column-CDF
-            # sampling table once, so the plans LRU amortises it; closed
-            # forms in the bisection regime build nothing.
+            # Compiling the plan reserves the mechanism's column-CDF table;
+            # releases fill a row the first time they touch its column, so
+            # a plan builds only the columns its traffic touches.
             plan = ReleasePlan(
                 mechanism,
                 decision=decision,

@@ -20,8 +20,9 @@ tests and benchmarks can assert that the package is bit-identical to it:
 * :class:`ColumnLRUSampler` and :func:`offset_search_sample` are the
   per-column LRU sampler and the dense offset-``searchsorted`` sampler
   that ``Mechanism._inverse_sample`` replaced with one search over
-  ``Mechanism.column_cdfs``; :func:`reference_inverse_sample` picks the one
-  a representation used.
+  column-CDF rows; :func:`bulk_column_cdfs` is the dense backend's
+  whole-matrix build of those rows, and :func:`reference_inverse_sample`
+  picks the sampler a representation used.
 
 None of them is meant for large inputs.  The module is imported by both
 ``tests/`` and ``benchmarks/``; ``benchmarks/conftest.py`` puts this
@@ -443,6 +444,17 @@ class ColumnLRUSampler:
         return released
 
 
+def bulk_column_cdfs(matrix: np.ndarray) -> np.ndarray:
+    """The dense backend's column-CDF table, built from the whole matrix at once."""
+    # C-contiguous rows so the row reductions below use the same
+    # pairwise-summation order as the 1-D scalar sampling path.
+    columns = np.ascontiguousarray(np.clip(matrix.T, 0.0, None))
+    columns = columns / columns.sum(axis=1, keepdims=True)
+    cdfs = np.cumsum(columns, axis=1)
+    cdfs /= cdfs[:, -1:]
+    return cdfs
+
+
 def offset_search_sample(
     cdfs: np.ndarray, counts: np.ndarray, uniforms: np.ndarray
 ) -> np.ndarray:
@@ -468,7 +480,7 @@ def reference_inverse_sample(
 ) -> np.ndarray:
     """Exact inverse-CDF sampling as each representation did it before the table.
 
-    Dense mechanisms searched their bulk-built ``column_cdfs`` with
+    Dense mechanisms searched their :func:`bulk_column_cdfs` table with
     :func:`offset_search_sample`; closed forms at ``n <=
     EXACT_SAMPLING_LIMIT`` and sparse mechanisms used a fresh
     :class:`ColumnLRUSampler`.
@@ -476,5 +488,5 @@ def reference_inverse_sample(
     counts = np.asarray(counts, dtype=np.int64)
     uniforms = np.asarray(uniforms, dtype=float)
     if mechanism.is_dense:
-        return offset_search_sample(mechanism.column_cdfs(), counts, uniforms)
+        return offset_search_sample(bulk_column_cdfs(mechanism.matrix), counts, uniforms)
     return ColumnLRUSampler(mechanism).sample(counts, uniforms)

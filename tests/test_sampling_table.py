@@ -1,28 +1,32 @@
 """The column-CDF table: one exact sampler for every representation.
 
-``Mechanism.column_cdfs`` is the one sampling structure of the exact
-regime: ``_inverse_sample`` answers a batch with one vectorised search over
-it, and the guide-table sampler reads the same array.  These tests pin
+Within ``EXACT_SAMPLING_LIMIT``, ``Mechanism.column_cdfs`` is the one
+sampling structure: ``_inverse_sample`` answers a batch with one vectorised
+search over it, filling the rows the batch needs on first use, and the
+guide-table sampler reads the same array.  Above the limit, mechanisms
+without an analytic CDF build the rows a batch needs, a block at a time.
+These tests pin
 
 * bit-identity with the samplers it replaced (``tests/_reference.py``): the
   per-column LRU of the closed-form and sparse backends and the dense
-  backend's offset ``searchsorted``, through ``sample_with_uniforms``,
-  ``sample_batch`` and ``sample_tiled`` (guide path included), on random
-  and edge uniforms;
-* that a plan builds the table once, when it is compiled, and that
-  design-only paths never build it;
-* that there is one ``size^2`` array per mechanism.
+  backend's bulk-built table with its offset ``searchsorted``, through
+  ``sample``, ``sample_with_uniforms``, ``sample_batch`` and
+  ``sample_tiled`` (guide path included), on random and edge uniforms;
+* that a plan builds each column's CDF at most once, only for the columns
+  its traffic touches, and that design-only paths never reserve a table;
+* that there is one ``size^2`` array per mechanism, and none above the
+  limit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from _reference import ColumnLRUSampler, reference_inverse_sample
+from _reference import ColumnLRUSampler, bulk_column_cdfs, reference_inverse_sample
 from scipy import sparse
 
 from repro.core import _kernels
-from repro.core.mechanism import ClosedFormMechanism, DenseMechanism, SparseMechanism
+from repro.core.mechanism import ClosedFormMechanism, DenseMechanism, Mechanism, SparseMechanism
 from repro.engine.plan import ReleasePlan
 from repro.mechanisms.fair import explicit_fair_mechanism
 from repro.mechanisms.registry import create_mechanism
@@ -50,6 +54,14 @@ def _twin(kind: str, n: int, alpha: float):
     if kind == "dense":
         return DenseMechanism(matrix, alpha=alpha)
     return SparseMechanism(sparse.csc_matrix(matrix), alpha=alpha)
+
+
+def _banded_sparse(n: int) -> SparseMechanism:
+    """A tridiagonal sparse mechanism: O(n) storage at any ``n``."""
+    main = np.full(n + 1, 0.5)
+    main[[0, n]] = 0.75
+    matrix = sparse.diags([np.full(n, 0.25), main, np.full(n, 0.25)], [-1, 0, 1])
+    return SparseMechanism(matrix.tocsc(), alpha=0.5)
 
 
 def _batch(n: int, seed: int, size: int = 2000):
@@ -83,6 +95,11 @@ def _assert_identical(mechanism, seed: int) -> None:
     drawn = np.random.default_rng(seed + 1).random(repetitions * counts.shape[0])
     expected = reference_inverse_sample(mechanism, np.tile(counts, repetitions), drawn)
     assert np.array_equal(tiled.ravel(), expected)
+
+    for j in (0, n // 2, n):
+        scalar = mechanism.sample(j, rng=np.random.default_rng(seed + 2), size=50)
+        drawn = np.random.default_rng(seed + 2).random(50)
+        assert np.array_equal(scalar, reference_inverse_sample(mechanism, np.full(50, j), drawn))
 
 
 class TestIdentityWithReferences:
@@ -119,27 +136,67 @@ class TestIdentityWithReferences:
         for j in range(41):
             assert np.array_equal(table[j], reference.column_cdf(j)), f"row {j}"
             assert table[j, -1] == 1.0
+        assert np.array_equal(table, bulk_column_cdfs(mechanism.matrix))
+
+    @pytest.mark.parametrize("n", [2049, 5000])
+    def test_sparse_above_the_limit(self, n, monkeypatch):
+        mechanism = _banded_sparse(n)
+        assert n > mechanism.EXACT_SAMPLING_LIMIT
+        widths = []
+        cdf_rows = Mechanism._cdf_rows
+
+        def recording(self, columns):
+            widths.append(columns.shape[0])
+            return cdf_rows(self, columns)
+
+        monkeypatch.setattr(Mechanism, "_cdf_rows", recording)
+        _assert_identical(mechanism, seed=n)
+        assert "_cdf_table" not in mechanism.__dict__
+        assert max(widths) <= mechanism.BLOCK_COLUMNS
+
+
+def _count_column_builds(monkeypatch) -> list:
+    calls = []
+    column = ClosedFormMechanism._column
+
+    def counted(self, j):
+        calls.append(j)
+        return column(self, j)
+
+    monkeypatch.setattr(ClosedFormMechanism, "_column", counted)
+    return calls
 
 
 class TestOneTableBuiltOnce:
-    def test_plan_builds_the_table_once_and_serves_from_it(self, monkeypatch):
-        calls = []
-        column = ClosedFormMechanism._column
-
-        def counted(self, j):
-            calls.append(j)
-            return column(self, j)
-
-        monkeypatch.setattr(ClosedFormMechanism, "_column", counted)
+    def test_plan_builds_each_touched_column_once(self, monkeypatch):
+        calls = _count_column_builds(monkeypatch)
         plan = ReleasePlan.compile(1000, 0.9)
         mechanism = plan.mechanism
         assert isinstance(mechanism, ClosedFormMechanism) and mechanism.n == 1000
+        assert calls == []  # compiling reserves the table and builds no column
         rng = np.random.default_rng(5)
+        served = set()
         for _ in range(8):
             counts = rng.integers(0, 1001, size=1024)
+            served.update(counts.tolist())
             plan.execute_with_uniforms(counts, rng.random(1024))
+            assert sorted(calls) == sorted(served)
         assert len(calls) == 1001
-        assert sorted(calls) == list(range(1001))
+
+    def test_plan_builds_only_the_columns_its_traffic_touches(self, monkeypatch):
+        calls = _count_column_builds(monkeypatch)
+        plan = ReleasePlan.compile(2048, 0.9)
+        counts = np.array([3, 70, 70, 3, 2000] * 100)
+        for seed in range(4):
+            plan.execute(counts, rng=np.random.default_rng(seed))
+        assert sorted(calls) == [3, 70, 2000]
+
+    def test_first_scalar_draw_builds_one_column(self, monkeypatch):
+        calls = _count_column_builds(monkeypatch)
+        mechanism = create_mechanism("GM", 1000, 0.9)
+        mechanism.sample(3, rng=np.random.default_rng(0))
+        mechanism.sample(3, rng=np.random.default_rng(1), size=10)
+        assert calls == [3]
 
     @pytest.mark.parametrize("kind", ["closed-form", "sparse"])
     def test_guide_kernel_reads_the_table_itself(self, kind, monkeypatch):
@@ -163,9 +220,9 @@ class TestOneTableBuiltOnce:
         mechanism = create_mechanism("GM", 2 * ClosedFormMechanism.EXACT_SAMPLING_LIMIT, 0.9)
         plan = ReleasePlan.from_mechanism(mechanism)
         plan.execute(np.arange(0, mechanism.n, 97), rng=np.random.default_rng(0))
-        assert "_column_cdfs" not in mechanism.__dict__
+        assert "_cdf_table" not in mechanism.__dict__
 
     def test_design_only_paths_build_no_table(self):
         for properties in ((), ("WH", "CM")):
             mechanism, _ = DesignCache().get_or_design(12, 0.9, properties=properties)
-            assert "_column_cdfs" not in mechanism.__dict__
+            assert "_cdf_table" not in mechanism.__dict__
