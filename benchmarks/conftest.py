@@ -101,15 +101,12 @@ def _git_sha():
 def _machine_info() -> dict:
     import scipy
 
-    from repro.core import _kernels
-
     return {
         "platform": platform.platform(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
-        "sampling_kernel": _kernels.kernel_name(),
     }
 
 

@@ -30,6 +30,11 @@ import time
 
 import numpy as np
 import pytest
+
+# Both pipelines solve through HiGHS; import SciPy here so its one-off
+# ~0.5 s import cost is not timed inside whichever pipeline runs first.
+import scipy.optimize  # noqa: F401
+import scipy.sparse  # noqa: F401
 from _reference import build_loop_mechanism_lp, solve_dense
 from _tiny import TINY
 

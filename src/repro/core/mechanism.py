@@ -33,8 +33,8 @@ materialised (eager or lazy), so tests and examples can assert that a
 serving path never built one.
 
 Sampling equivalence guarantee: every representation samples by inverting
-column CDFs built with the exact float operations of the dense sampler's
-scalar path, so closed-form / sparse / dense mechanisms with bit-identical
+column CDFs built with the same float operations (:meth:`Mechanism
+._cdf_rows`), so closed-form / sparse / dense mechanisms with bit-identical
 columns release bit-identical counts on a shared uniform stream (the
 test-suite proves this up to ``n = 512``).  For ``n <=
 Mechanism.EXACT_SAMPLING_LIMIT`` the CDFs are rows of one cached column-CDF
@@ -50,8 +50,6 @@ import json
 from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
-
-from repro.core import _kernels
 
 #: Default numerical tolerance for stochasticity / probability checks.
 DEFAULT_TOLERANCE = 1e-9
@@ -366,17 +364,6 @@ class Mechanism:
         """
         rng = rng if rng is not None else np.random.default_rng()
         self._check_count(true_count)
-        if self.is_dense:
-            probabilities = self._matrix[:, int(true_count)].copy()
-            # Guard against tiny negative values introduced by LP solvers.
-            probabilities = np.clip(probabilities, 0.0, None)
-            probabilities /= probabilities.sum()
-            outputs = rng.choice(self.size, size=size, p=probabilities)
-            if size is None:
-                return int(outputs)
-            return np.asarray(outputs, dtype=int)
-        # Non-dense: the explicit inverse-CDF path (bit-identical to the
-        # rng.choice path above for the same column values).
         uniforms = np.atleast_1d(rng.random(size))
         if self._inverts_column_cdfs():
             outputs = np.searchsorted(self._cdf_row(int(true_count)), uniforms, side="right")
@@ -405,10 +392,10 @@ class Mechanism:
     def _cdf_rows(self, columns: np.ndarray) -> np.ndarray:
         """Inverse-sampling CDFs of ``columns``, one C-contiguous row each.
 
-        Each row reproduces exactly the CDF that ``numpy``'s
-        ``Generator.choice`` builds inside :meth:`sample` (clip negatives,
-        normalise, cumulate, renormalise the final entry to 1), so every row
-        is non-decreasing and ends at exactly 1.0.
+        Each row is exactly the CDF that ``numpy``'s ``Generator.choice``
+        would build for the column (clip negatives, normalise, cumulate,
+        renormalise the final entry to 1), so every row is non-decreasing
+        and ends at exactly 1.0.
         """
         rows = np.empty((columns.shape[0], self.size))
         for row, j in zip(rows, columns.tolist()):
@@ -613,20 +600,16 @@ class Mechanism:
 
         Bit-identical to :meth:`_inverse_sample` on the same inputs: guide
         hits read the pre-computed inverse-CDF index, and the few bin-
-        boundary elements are answered by :meth:`_inverse_sample` itself
-        (numpy path) or by an inline binary search over the same
-        :meth:`column_cdfs` rows (the optional numba kernel — see
-        :mod:`repro.core._kernels`; ``REPRO_NO_NUMBA=1`` forces the numpy
-        path).
+        boundary elements (marked ``-1``) are answered in one batch by
+        :meth:`_inverse_sample` itself.
         """
-        table = self._guide_table()
-        if _kernels.kernel_active():
-            return _kernels.guide_sample_jit(
-                table, self.column_cdfs(), counts, uniforms, self.GUIDE_BINS
-            )
-        return _kernels.guide_sample_numpy(
-            table, counts, uniforms, self.GUIDE_BINS, self._inverse_sample
-        )
+        bins = self.GUIDE_BINS
+        positions = np.minimum((uniforms * bins).astype(np.int64), bins - 1)
+        released = self._guide_table()[counts * bins + positions].astype(np.int64)
+        ambiguous = np.flatnonzero(released < 0)
+        if ambiguous.size:
+            released[ambiguous] = self._inverse_sample(counts[ambiguous], uniforms[ambiguous])
+        return released
 
     def apply_batch(
         self,
@@ -1044,10 +1027,12 @@ class SparseMechanism(Mechanism):
     non-zeros keeps designed mechanisms O(nnz) in memory and lets the
     design cache persist them as small descriptors.  Sampling inverts the
     same column-CDF rows as every representation (bit-identical to a dense
-    mechanism with the same column values on a shared uniform stream); they
-    are expanded per column, so sampling costs ``O(size)`` time and memory
-    per column it touches, on top of the ``O(nnz)`` storage.  Property
-    checks stream CSC column blocks at O(nnz) expansion cost.
+    mechanism with the same column values on a shared uniform stream).
+    Within ``EXACT_SAMPLING_LIMIT`` those rows live in the shared
+    :meth:`~Mechanism.column_cdfs` table, ``(n + 1)^2 * 8`` bytes on top of
+    the ``O(nnz)`` storage; above it each call builds the rows of its
+    distinct counts, ``BLOCK_COLUMNS`` columns at a time, and keeps none.
+    Property checks stream CSC column blocks at O(nnz) expansion cost.
     """
 
     representation = "sparse"

@@ -272,14 +272,12 @@ class StreamExecutor:
         at a time here but the whole stream in the one-shot path).  Charges
         the accountant per chunk before sampling.
 
-        Two internal regimes, identical in output: with an accountant
-        attached, every chunk is validated, charged and sampled one at a
-        time, so a refused chunk has consumed *nothing* from the generator;
-        without one, chunks are read into a preallocated zero-copy window
-        of :attr:`UNIFORM_BATCH_CHUNKS` chunks whose uniforms are drawn in
-        a single ``rng.random`` call (the same uniforms, the same order —
-        bit-identity is unaffected).  Counts in a window are validated
-        before any of its uniforms are drawn.
+        Uniforms are drawn once per window of counts: one chunk when an
+        accountant is attached, so a refused chunk has consumed *nothing*
+        from the generator, else :attr:`UNIFORM_BATCH_CHUNKS` chunks read
+        into a preallocated zero-copy buffer (the same uniforms, the same
+        order — bit-identity is unaffected).  Each window is validated, then
+        charged, before any of its uniforms are drawn.
         """
         if self.max_workers is not None and self.max_workers > 1:
             raise ValueError(
@@ -293,29 +291,20 @@ class StreamExecutor:
                 "seeded discipline (stream_seeded/stream_durable) instead"
             )
         rng = rng if rng is not None else np.random.default_rng()
-        if self.accountant is not None:
-            # Metered regime: the draw for chunk k must not happen before
-            # chunk k's charge succeeds, so uniforms cannot be batched
-            # across chunks here.
-            for index, chunk in enumerate(iter_count_chunks(counts, self.chunk_size)):
-                self._validate_chunk(chunk)
-                self._charge(index, chunk)
-                released = self.plan.execute(chunk, rng=rng)
-                self._count(chunk.shape[0])
-                yield released
-            return
-        # Unmetered fast path: zero-copy window buffer + batched RNG draws.
+        # A metered chunk must not be drawn before its charge succeeds, so
+        # uniforms are batched across chunks only when nothing is charged.
         # The window is a whole multiple of chunk_size, so the yielded chunk
         # boundaries (and therefore stats and per-chunk post-processing)
-        # are exactly those of the per-chunk regime.
-        window = self.chunk_size * self.UNIFORM_BATCH_CHUNKS
-        for superchunk in iter_count_chunks(counts, window, copy=False):
-            self._validate_chunk(superchunk)
-            uniforms = rng.random(superchunk.shape[0])
-            for start in range(0, superchunk.shape[0], self.chunk_size):
-                stop = min(start + self.chunk_size, superchunk.shape[0])
+        # are the same in both cases.
+        window = self.chunk_size * (1 if self.budget is not None else self.UNIFORM_BATCH_CHUNKS)
+        for index, counts_window in enumerate(iter_count_chunks(counts, window, copy=False)):
+            self._validate_chunk(counts_window)
+            self._charge(index, counts_window)
+            uniforms = rng.random(counts_window.shape[0])
+            for start in range(0, counts_window.shape[0], self.chunk_size):
+                stop = min(start + self.chunk_size, counts_window.shape[0])
                 released = self.plan.execute_with_uniforms(
-                    superchunk[start:stop], uniforms[start:stop]
+                    counts_window[start:stop], uniforms[start:stop]
                 )
                 self._count(stop - start)
                 yield released
@@ -380,9 +369,7 @@ class StreamExecutor:
         workers = self.max_workers if self.max_workers is not None else 1
         if workers <= 1:
             for index, chunk, child in tasks:
-                yield index, self._finish(
-                    chunk.shape[0], self._sample_local(chunk, child)
-                )
+                yield index, self._finish(self._sample_local(chunk, child))
             return
         yield from self._stream_pool(tasks, workers)
 
@@ -481,19 +468,15 @@ class StreamExecutor:
                         self.stats.degraded = True
                         while pending:
                             index, chunk, child, _attempt, _future = pending.popleft()
-                            yield index, self._finish(
-                                chunk.shape[0], self._sample_local(chunk, child)
-                            )
+                            yield index, self._finish(self._sample_local(chunk, child))
                         for index, chunk, child in tasks:
-                            yield index, self._finish(
-                                chunk.shape[0], self._sample_local(chunk, child)
-                            )
+                            yield index, self._finish(self._sample_local(chunk, child))
                         if refusal is not None:
                             raise refusal
                         return
                     continue
                 pending.popleft()
-                yield head[0], self._finish(head[1].shape[0], result)
+                yield head[0], self._finish(result)
             if refusal is not None:
                 raise refusal
         finally:
@@ -607,20 +590,16 @@ class StreamExecutor:
         self.stats.chunks += 1
         self.stats.records += int(size)
 
-    def _finish(self, size: int, released: np.ndarray) -> np.ndarray:
+    def _finish(self, released: np.ndarray) -> np.ndarray:
         """Account for a seeded chunk and apply the plan's post-processing.
 
         The seeded path samples outside :meth:`ReleasePlan.execute` (worker
         processes must not mutate the parent's plan counters, and the
-        post-processing hook need not be picklable), so counters and the
-        hook are applied here in the parent.
+        post-processing hook need not be picklable), so the plan's
+        accounting runs here in the parent.
         """
-        self._count(size)
-        self.plan.executions += 1
-        self.plan.records_released += int(size)
-        if self.plan.postprocess is not None:
-            released = np.asarray(self.plan.postprocess(released))
-        return released
+        self._count(released.shape[0])
+        return self.plan.finish(released)
 
     def describe(self) -> str:
         """One-line summary for CLI ``--stats`` output."""

@@ -236,12 +236,7 @@ class ReleasePlan:
         generator — the plan adds preparation, counting and the optional
         post-processing hook, never a different sampler.
         """
-        released = self.mechanism.sample_batch(true_counts, rng=rng)
-        self.executions += 1
-        self.records_released += int(released.shape[0])
-        if self.postprocess is not None:
-            released = np.asarray(self.postprocess(released))
-        return released
+        return self.finish(self.mechanism.sample_batch(true_counts, rng=rng))
 
     def execute_with_uniforms(
         self,
@@ -257,12 +252,7 @@ class ReleasePlan:
         its slice.  Counting and the post-processing hook behave exactly as
         in :meth:`execute`.
         """
-        released = self.mechanism.sample_with_uniforms(true_counts, uniforms)
-        self.executions += 1
-        self.records_released += int(released.shape[0])
-        if self.postprocess is not None:
-            released = np.asarray(self.postprocess(released))
-        return released
+        return self.finish(self.mechanism.sample_with_uniforms(true_counts, uniforms))
 
     def execute_tiled(
         self,
@@ -276,7 +266,15 @@ class ReleasePlan:
         bit-identical to the ``r``-th of ``repetitions`` sequential
         :meth:`execute` calls on the same generator.
         """
-        released = self.mechanism.sample_tiled(true_counts, repetitions, rng=rng)
+        return self.finish(self.mechanism.sample_tiled(true_counts, repetitions, rng=rng))
+
+    def finish(self, released: np.ndarray) -> np.ndarray:
+        """Count one executed release and apply the post-processing hook.
+
+        Every execution path ends here, including the
+        :class:`~repro.engine.executor.StreamExecutor`'s seeded chunks,
+        which are sampled outside the plan (possibly in a worker process).
+        """
         self.executions += 1
         self.records_released += int(released.size)
         if self.postprocess is not None:

@@ -13,7 +13,8 @@ state dir, reconnect the tenants and assert the two invariants end to end:
   in-doubt request replayed by ``seq``) equals the serial engine reference
   for that tenant's stream position.
 
-The matrix covers closed-form and sparse plans and 1/4/16 tenants (the
+The matrix covers closed-form and sparse plans, an LP design rebuilt by
+each daemon under its own ``PYTHONHASHSEED``, and 1/4/16 tenants (the
 dense-plan restart identity runs in-process in
 ``test_daemon_durability.py`` — dense plans are injected into the plans
 LRU, which a subprocess cannot reach).
@@ -45,11 +46,14 @@ def run(coroutine):
     return asyncio.run(coroutine)
 
 
-def _spawn_daemon(socket_path, state_dir, budget, fault_spec="", extra=()):
+def _spawn_daemon(socket_path, state_dir, budget, fault_spec="", extra=(),
+                  hash_seed=None):
     """Start ``repro-mechanisms serve`` as a subprocess; wait for the handshake."""
     env = {"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"}
     if fault_spec:
         env["REPRO_FAULTS"] = fault_spec
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
     process = subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve",
@@ -94,16 +98,21 @@ class TestKillRestartReconnect:
 
     # (workload branch, tenant count): closed-form and sparse plans, small
     # and wide tenant fleets.  (properties, n, alpha, budget) per branch.
+    # The "lp" branch is a CH+RH request, which the selector answers with
+    # an LP design; with no --cache-dir each daemon process solves it anew.
     MATRIX = {
         ("closed", 1): ("", 40, 0.5, 0.1),
         ("closed", 4): ("", 40, 0.5, 0.1),
         ("sparse", 4): ("WH+CM", 12, 0.9, 0.5),
+        ("lp", 1): ("CH+RH", 12, 0.9, 0.5),
         ("closed", 16): ("", 40, 0.5, 0.1),
     }
 
     @pytest.mark.parametrize("branch,tenant_count", sorted(MATRIX))
     def test_spend_once_bits_identical(self, branch, tenant_count, tmp_path):
         properties, n, alpha, budget = self.MATRIX[(branch, tenant_count)]
+        if branch == "lp":
+            assert ReleasePlan.compile(n, alpha, properties=properties).branch.startswith("WM")
         tenants = [f"t{i}" for i in range(tenant_count)]
         socket_path = tmp_path / "repro.sock"
         state_dir = tmp_path / "state"
@@ -172,9 +181,11 @@ class TestKillRestartReconnect:
             await shutdown_client.close()
             return recovered
 
+        # The two daemons (and this process) run under different hash
+        # seeds: set iteration order must not reach a design or a draw.
         crashed = _spawn_daemon(
             socket_path, state_dir, budget,
-            fault_spec=f"kill_daemon:{kill_after}",
+            fault_spec=f"kill_daemon:{kill_after}", hash_seed="1",
         )
         try:
             responses = run(drive_until_crash())
@@ -187,7 +198,7 @@ class TestKillRestartReconnect:
         assert sum(len(r) for r in responses.values()) < PER_TENANT * tenant_count
 
         socket_path.unlink(missing_ok=True)
-        restarted = _spawn_daemon(socket_path, state_dir, budget)
+        restarted = _spawn_daemon(socket_path, state_dir, budget, hash_seed="2")
         try:
             recovered = run(drive_recovery(responses))
             assert restarted.wait(timeout=30) == 0

@@ -1,11 +1,11 @@
-"""Bit-identity of the native sampling kernels, the batched-RNG executor
-hot path and the binary stream I/O.
+"""Bit-identity of the guide-table sampler, the batched-RNG executor hot
+path and the binary stream I/O.
 
-The PR's contract is that every fast path is *gated on bit-identity*: the
-guide kernel (numba or numpy) must release exactly the counts of the
-sequential reference sampler, the executor's batched uniform draws must not
-change a single released value, and a ``.npy`` round trip must reproduce
-the text protocol byte for byte.  These tests are the gate.
+Every fast path is *gated on bit-identity*: the guide-table sampler must
+release exactly the counts of the sequential reference sampler, the
+executor's batched uniform draws must not change a single released value,
+and a ``.npy`` round trip must reproduce the text protocol byte for byte.
+These tests are the gate.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import _kernels
 from repro.core.mechanism import Mechanism, SparseMechanism
 from repro.engine import ReleasePlan, StreamExecutor, iter_count_chunks
 from repro.engine.stream_io import (
@@ -31,43 +30,7 @@ def _dense_gm(n=32, alpha=0.5):
 
 
 # --------------------------------------------------------------------- #
-# Kernel dispatch and the REPRO_NO_NUMBA switch
-# --------------------------------------------------------------------- #
-class TestKernelDispatch:
-    def test_env_switch_parsing(self, monkeypatch):
-        for value, disabled in [("", False), ("0", False), ("1", True), ("true", True)]:
-            monkeypatch.setenv(_kernels.NO_NUMBA_ENV, value)
-            assert _kernels.numba_disabled_by_env() is disabled
-        monkeypatch.delenv(_kernels.NO_NUMBA_ENV)
-        assert _kernels.numba_disabled_by_env() is False
-
-    def test_env_switch_deactivates_kernel_per_call(self, monkeypatch):
-        monkeypatch.setenv(_kernels.NO_NUMBA_ENV, "1")
-        assert _kernels.kernel_active() is False
-        assert _kernels.kernel_name() == "numpy"
-        monkeypatch.delenv(_kernels.NO_NUMBA_ENV)
-        # With the switch released, activity reflects numba availability
-        # alone — no re-import required.
-        assert _kernels.kernel_active() is _kernels.numba_available()
-
-    def test_module_importable_without_numba(self):
-        # jit_kernel() must never raise, whatever the environment provides.
-        kernel = _kernels.jit_kernel()
-        assert kernel is None or callable(kernel)
-
-    def test_sampling_unaffected_by_env_switch(self, monkeypatch):
-        """Released counts are identical with the JIT kernel on and off."""
-        mechanism = _dense_gm()
-        counts = np.random.default_rng(7).integers(0, 33, size=4096)
-        monkeypatch.setenv(_kernels.NO_NUMBA_ENV, "1")
-        off = mechanism.sample_tiled(counts, 10, rng=np.random.default_rng(11))
-        monkeypatch.delenv(_kernels.NO_NUMBA_ENV)
-        on = mechanism.sample_tiled(counts, 10, rng=np.random.default_rng(11))
-        assert np.array_equal(off, on)
-
-
-# --------------------------------------------------------------------- #
-# Guide-path bit-identity (numpy path always; JIT path when available)
+# Guide-path bit-identity
 # --------------------------------------------------------------------- #
 class TestGuideKernelIdentity:
     def test_tiled_guide_path_equals_sequential_batches(self):
@@ -84,61 +47,38 @@ class TestGuideKernelIdentity:
             row = mechanism.sample_batch(counts, rng=sequential_rng)
             assert np.array_equal(tiled[r], row), f"repetition {r} deviates"
 
-    def test_numpy_guide_matches_exact_inversion_elementwise(self):
-        mechanism = _dense_gm(n=16)
-        rng = np.random.default_rng(13)
-        counts = rng.integers(0, 17, size=50_000)
-        uniforms = rng.random(50_000)
-        table = mechanism._guide_table()
-        via_guide = _kernels.guide_sample_numpy(
-            table, counts, uniforms, mechanism.GUIDE_BINS, mechanism._inverse_sample
-        )
-        exact = mechanism._inverse_sample(counts, uniforms)
-        assert np.array_equal(via_guide, exact)
-
-    @pytest.mark.skipif(
-        not _kernels.numba_available(), reason="numba not installed"
+    @pytest.mark.parametrize(
+        "representation,n",
+        [(Mechanism, 4), (Mechanism, 16), (Mechanism, 64), (Mechanism, 511), (SparseMechanism, 24)],
+        ids=["dense-4", "dense-16", "dense-64", "dense-511", "sparse-24"],
     )
-    def test_jit_guide_matches_numpy_guide_elementwise(self):
-        for n in (4, 16, 64, 511):
-            mechanism = _dense_gm(n=n)
-            rng = np.random.default_rng(n)
-            counts = rng.integers(0, n + 1, size=20_000)
-            uniforms = rng.random(20_000)
-            table = mechanism._guide_table()
-            reference = _kernels.guide_sample_numpy(
-                table, counts, uniforms, mechanism.GUIDE_BINS, mechanism._inverse_sample
-            )
-            jitted = _kernels.guide_sample_jit(
-                table,
-                mechanism.column_cdfs(),
-                counts,
-                uniforms,
-                mechanism.GUIDE_BINS,
-            )
-            assert np.array_equal(jitted, reference), f"n={n}"
+    def test_guide_matches_exact_inversion_elementwise(self, representation, n):
+        mechanism = representation(geometric_mechanism(n, 0.5).matrix, alpha=0.5)
+        rng = np.random.default_rng(n)
+        counts = rng.integers(0, n + 1, size=20_000)
+        uniforms = rng.random(20_000)
+        assert np.array_equal(
+            mechanism._sample_by_guide(counts, uniforms),
+            mechanism._inverse_sample(counts, uniforms),
+        )
 
-    @pytest.mark.skipif(
-        not _kernels.numba_available(), reason="numba not installed"
-    )
-    def test_jit_guide_matches_for_sparse_representation(self):
-        base = geometric_mechanism(24, 0.4).matrix
-        mechanism = SparseMechanism(base, name="gm-sparse", alpha=0.4)
-        rng = np.random.default_rng(99)
-        counts = rng.integers(0, 25, size=30_000)
-        uniforms = rng.random(30_000)
-        table = mechanism._guide_table()
-        reference = _kernels.guide_sample_numpy(
-            table, counts, uniforms, mechanism.GUIDE_BINS, mechanism._inverse_sample
-        )
-        jitted = _kernels.guide_sample_jit(
-            table,
-            mechanism.column_cdfs(),
-            counts,
-            uniforms,
-            mechanism.GUIDE_BINS,
-        )
-        assert np.array_equal(jitted, reference)
+    @pytest.mark.parametrize("size", [None, 1, 50])
+    def test_dense_scalar_sample_is_the_table_search(self, size):
+        """Dense ``sample`` inverts the table row on the same stream."""
+        mechanism = _dense_gm(n=40)
+        for j in (0, 20, 40):
+            rng, reference_rng = np.random.default_rng(j), np.random.default_rng(j)
+            drawn = mechanism.sample(j, rng=rng, size=size)
+            expected = np.searchsorted(
+                mechanism.column_cdfs()[j],
+                np.atleast_1d(reference_rng.random(size)),
+                side="right",
+            )
+            if size is None:
+                assert isinstance(drawn, int) and drawn == int(expected[0])
+            else:
+                assert np.array_equal(drawn, expected)
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_column_cdfs_rows_are_the_fallback_cdfs(self):
         for mechanism in (_dense_gm(n=12), SparseMechanism(

@@ -25,7 +25,7 @@ import pytest
 from _reference import ColumnLRUSampler, bulk_column_cdfs, reference_inverse_sample
 from scipy import sparse
 
-from repro.core import _kernels
+from repro.core import mechanism as mechanism_module
 from repro.core.mechanism import ClosedFormMechanism, DenseMechanism, Mechanism, SparseMechanism
 from repro.engine.plan import ReleasePlan
 from repro.mechanisms.fair import explicit_fair_mechanism
@@ -202,17 +202,18 @@ class TestOneTableBuiltOnce:
     def test_guide_kernel_reads_the_table_itself(self, kind, monkeypatch):
         mechanism = _closed_form("GM", 40, 0.9) if kind == "closed-form" else _twin(kind, 40, 0.9)
         seen = []
+        search_rows = mechanism_module._search_rows
 
-        def recording_kernel(table, cdfs, counts, uniforms, bins):
-            seen.append(cdfs)
-            return _kernels.guide_sample_numpy(
-                table, counts, uniforms, bins, mechanism._inverse_sample
-            )
+        def recording_search(table, rows, uniforms):
+            seen.append(table)
+            return search_rows(table, rows, uniforms)
 
-        monkeypatch.setattr(_kernels, "kernel_active", lambda: True)
-        monkeypatch.setattr(_kernels, "guide_sample_jit", recording_kernel)
+        monkeypatch.setattr(mechanism_module, "_search_rows", recording_search)
         counts = np.random.default_rng(1).integers(0, 41, size=1000)
         mechanism.sample_tiled(counts, 50, rng=np.random.default_rng(2))
+        # The guide answered the batch, and its bin-boundary fallback
+        # searched the same table the guide was built from.
+        assert "_guide" in mechanism.__dict__
         assert len(seen) == 1
         assert seen[0] is mechanism.column_cdfs()
 
