@@ -9,7 +9,10 @@ Two guarantees of the refactor are asserted here, not just timed:
   closed form inverts its analytic CDF in O(batch) memory);
 * the serving layer releases 10^6 mixed GM/EM requests at ``n = 10^5``
   end-to-end **without materialising a single dense matrix**, verified by
-  the :attr:`~repro.core.mechanism.Mechanism.densifications` counter.
+  the :attr:`~repro.core.mechanism.Mechanism.densifications` counter;
+* rebuilding GM at ``n = 10^5`` from its descriptor (a registry hit) is at
+  least **5x faster** than validating the pow-based reference's three
+  columns alone (measured ~20x: the power table stops at its first zero).
 
 ``REPRO_BENCH_TINY=1`` (the CI smoke job) runs the same code paths at toy
 sizes with the wall-clock/memory assertions disabled.
@@ -22,6 +25,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from _reference import reference_closed_form
 from _tiny import TINY
 
 import repro
@@ -123,6 +127,26 @@ def test_serving_million_mixed_requests_without_densification(rng):
         assert peak < 500e6, f"serving peak memory {peak / 1e6:.0f} MB"
     assert session.stats.records == total
     assert session.stats.distinct_designs == 2
+
+
+def test_gm_registry_hit_5x_faster_than_pow_validate():
+    """``from_dict`` of a GM descriptor against the pow reference's validate."""
+    descriptor = geometric_mechanism(N_SERVE, 0.9).to_dict()
+    reference = reference_closed_form(Mechanism.from_dict(descriptor))
+    table_seconds = pow_seconds = float("inf")
+    for _ in range(5):  # interleaved best-of-5
+        start = time.perf_counter()
+        Mechanism.from_dict(descriptor)
+        table_seconds = min(table_seconds, time.perf_counter() - start)
+        start = time.perf_counter()
+        reference.validate()
+        pow_seconds = min(pow_seconds, time.perf_counter() - start)
+    speedup = pow_seconds / table_seconds
+    if not TINY:
+        assert speedup >= 5.0, (
+            f"GM registry hit {speedup:.1f}x below the 5x guarantee "
+            f"({table_seconds * 1e3:.2f} ms vs pow validate {pow_seconds * 1e3:.2f} ms)"
+        )
 
 
 @pytest.mark.benchmark(group="representations")

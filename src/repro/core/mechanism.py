@@ -40,8 +40,8 @@ test-suite proves this up to ``n = 512``).  For ``n <=
 Mechanism.EXACT_SAMPLING_LIMIT`` the CDFs are rows of one cached column-CDF
 table, :meth:`Mechanism.column_cdfs`, filled on first use; above it a batch
 builds only the rows it needs, except that closed forms with an analytic
-CDF switch to an O(1)-memory inverse-CDF bisection (same distribution, same
-one-uniform-per-element stream consumption).
+CDF switch to an inverse-CDF bisection in O(batch) memory (same distribution,
+same one-uniform-per-element stream consumption).
 """
 
 from __future__ import annotations
@@ -832,8 +832,10 @@ class ClosedFormSpec:
     """Analytic backing functions for a :class:`ClosedFormMechanism`.
 
     Produced by the factories in :mod:`repro.mechanisms`; the functions
-    close over the mechanism's parameters so the mechanism object itself
-    stays O(1)-sized.
+    close over the mechanism's parameters and, for GM, EM and STAIRCASE, an
+    O(min(n, K)) power table (:mod:`repro.mechanisms.powers`; ``K`` is the
+    first exponent at which ``α^K`` underflows to zero), so the mechanism
+    never holds a matrix.
 
     Attributes
     ----------
@@ -848,8 +850,8 @@ class ClosedFormSpec:
         provably sampling-equivalent).
     cdf_fn:
         Optional vectorised analytic CDF ``cdf_fn(i, j) -> F(i | j)`` with
-        ``F(-1) = 0`` and ``F(n) = 1`` exactly; enables O(1)-memory
-        inverse-CDF sampling at large ``n``.
+        ``F(-1) = 0`` and ``F(n) = 1`` exactly; enables inverse-CDF
+        sampling in O(batch) memory at large ``n``.
     diagonal_fn:
         Optional ``() -> ndarray`` of the diagonal (O(n), no matrix).
     max_alpha_fn:
@@ -892,6 +894,9 @@ class ClosedFormSpec:
 
 class ClosedFormMechanism(Mechanism):
     """A mechanism represented by analytic column/CDF functions, not a matrix.
+
+    Storage is whatever its :class:`ClosedFormSpec` closes over: nothing for
+    UM and NRR, an O(min(n, K)) power table for GM, EM and STAIRCASE.
 
     Sampling strategy: for ``n <= EXACT_SAMPLING_LIMIT`` (or when no
     analytic CDF is available) the exact column-CDF sampler of

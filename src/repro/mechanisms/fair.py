@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.core.mechanism import ClosedFormMechanism, ClosedFormSpec, Mechanism
 from repro.core.theory import em_diagonal
+from repro.mechanisms.powers import power_table, powers_at, two_sided
 
 
 def _check_parameters(n: int, alpha: float) -> None:
@@ -62,36 +63,22 @@ def fair_exponent_matrix(n: int) -> np.ndarray:
     return exponents
 
 
-def fair_exponent_column(n: int, j: int) -> np.ndarray:
-    """Column ``j`` of the Equation-16 exponent pattern (integer array)."""
-    distance = np.abs(np.arange(n + 1) - j)
-    edge_distance = min(j, n - j)
-    return np.where(distance < edge_distance, distance, (distance + edge_distance + 1) // 2)
+def _fair_column(n: int, alpha: float, powers: np.ndarray, y: float, j: int) -> np.ndarray:
+    """Column ``j`` of EM's matrix, with ``powers = power_table(alpha, n + 2)``.
 
-
-def fair_column(n: int, alpha: float, j: int) -> np.ndarray:
-    """Column ``j`` of EM's matrix, evaluated directly from Equation 16.
-
-    Backs both the dense :func:`fair_matrix` and the closed-form mechanism;
-    the elementwise power/scale operations match the full-matrix build
-    bit-for-bit.
+    Backs both the dense :func:`fair_matrix` and the closed-form mechanism.
+    Along either side of ``j``, distance ``d`` carries exponent ``d`` up to
+    the edge distance ``m = min(j, n − j)`` and ``m + ceil((d − m) / 2)``
+    from it on, so the column is one two-sided read of the powers with
+    every power past ``α^m`` repeated twice.
     """
-    _check_parameters(n, alpha)
     if alpha == 0.0:
         column = np.zeros(n + 1)
         column[j] = 1.0
         return column
-    return _fair_column(n, alpha, em_diagonal(n, alpha), j)
-
-
-def _fair_column(n: int, alpha: float, y: float, j: int) -> np.ndarray:
-    """:func:`fair_column` with the normaliser ``y`` precomputed by the caller."""
-    if alpha == 0.0:
-        column = np.zeros(n + 1)
-        column[j] = 1.0
-        return column
-    exponents = fair_exponent_column(n, j).astype(float)
-    return y * alpha**exponents
+    edge = min(j, n - j)
+    by_distance = np.concatenate((powers[: edge + 1], np.repeat(powers[edge + 1 :], 2)))
+    return two_sided(by_distance, n + 1, j, y)
 
 
 def fair_matrix(n: int, alpha: float) -> np.ndarray:
@@ -102,22 +89,17 @@ def fair_matrix(n: int, alpha: float) -> np.ndarray:
     and EM coincides with the uniform mechanism.
     """
     _check_parameters(n, alpha)
-    size = n + 1
-    if alpha == 0.0:
-        return np.eye(size)
-    exponents = fair_exponent_matrix(n)
-    unnormalised = alpha ** exponents.astype(float)
-    diagonal_value = em_diagonal(n, alpha)
-    matrix = diagonal_value * unnormalised
-    return matrix
+    powers = power_table(alpha, n + 2)
+    y = em_diagonal(n, alpha)
+    return np.column_stack([_fair_column(n, alpha, powers, y, j) for j in range(n + 1)])
 
 
-def _geometric_sum(alpha: float, terms: np.ndarray) -> np.ndarray:
-    """``1 + α + … + α^{t−1}`` for a non-negative integer array ``t`` (α < 1)."""
-    return (1.0 - alpha ** np.maximum(terms, 0).astype(float)) / (1.0 - alpha)
+def _geometric_sum(alpha: float, powers: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """``1 + α + … + α^{t−1}`` for an integer array ``t`` clipped at zero (α < 1)."""
+    return (1.0 - powers_at(powers, terms)) / (1.0 - alpha)
 
 
-def _fair_tail_sum(alpha: float, r: np.ndarray) -> np.ndarray:
+def _fair_tail_sum(alpha: float, powers: np.ndarray, r: np.ndarray) -> np.ndarray:
     """``Σ_{s=0}^{r} α^{ceil(s/2)}`` for a non-negative integer array ``r``.
 
     The exponents pair up (1, α, α, α², α², …): ``r = 2q`` gives
@@ -125,11 +107,13 @@ def _fair_tail_sum(alpha: float, r: np.ndarray) -> np.ndarray:
     """
     r = np.maximum(r, 0)
     q = r // 2
-    total = 1.0 + 2.0 * alpha * _geometric_sum(alpha, q)
-    return total + np.where(r % 2 == 1, alpha ** (q + 1.0), 0.0)
+    total = 1.0 + 2.0 * alpha * _geometric_sum(alpha, powers, q)
+    return total + np.where(r % 2 == 1, powers_at(powers, q + 1), 0.0)
 
 
-def _fair_cdf_left(n: int, alpha: float, y: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _fair_cdf_left(
+    n: int, alpha: float, powers: np.ndarray, y: float, i: np.ndarray, j: np.ndarray
+) -> np.ndarray:
     """Analytic ``F(i | j)`` for columns in the left half (``j <= n − j``).
 
     The Equation-16 column splits into the clamped entry at 0 (exponent
@@ -140,27 +124,29 @@ def _fair_cdf_left(n: int, alpha: float, y: float, i: np.ndarray, j: np.ndarray)
     i = np.asarray(i, dtype=np.int64)
     j = np.asarray(j, dtype=np.int64)
     # Entry k = 0 carries exponent j (for j = 0 this is the tail's r = 0 term).
-    head = alpha ** j.astype(float)
+    head = powers_at(powers, j)
     # Interior k in [1, min(i, 2j - 1)] — empty when j == 0 or i < 1.
     interior_top = np.minimum(i, 2 * j - 1)
-    rising = alpha ** np.maximum(j - interior_top, 0).astype(float) * _geometric_sum(
-        alpha, interior_top
+    rising = powers_at(powers, j - interior_top) * _geometric_sum(alpha, powers, interior_top)
+    falling = _geometric_sum(alpha, powers, j) + alpha * _geometric_sum(
+        alpha, powers, interior_top - j
     )
-    falling = _geometric_sum(alpha, j) + alpha * _geometric_sum(alpha, interior_top - j)
     interior = np.where(interior_top <= j, rising, falling)
     interior = np.where(interior_top < 1, 0.0, interior)
     # Tail k in [max(2j, 1), i]: exponent ceil(k/2) = j + ceil(r/2) with
     # k = 2j + r.  For j = 0 the r = 0 term is the head entry, so drop it.
-    tail_terms = _fair_tail_sum(alpha, i - 2 * j)
+    tail_terms = _fair_tail_sum(alpha, powers, i - 2 * j)
     tail_terms = np.where(j == 0, tail_terms - 1.0, tail_terms)
-    tail = alpha ** j.astype(float) * tail_terms
+    tail = head * tail_terms
     tail = np.where(i < np.maximum(2 * j, 1), 0.0, tail)
     cdf = y * (head + interior + tail)
     cdf = np.where(i >= n, 1.0, cdf)
     return np.where(i < 0, 0.0, cdf)
 
 
-def _fair_cdf(n: int, alpha: float, y: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _fair_cdf(
+    n: int, alpha: float, powers: np.ndarray, y: float, i: np.ndarray, j: np.ndarray
+) -> np.ndarray:
     """Analytic column CDF of EM, vectorised over (i, j) arrays.
 
     Right-half columns reduce to left-half ones through EM's
@@ -177,7 +163,7 @@ def _fair_cdf(n: int, alpha: float, y: float, i: np.ndarray, j: np.ndarray) -> n
     flip = j > n - j
     jj = np.where(flip, n - j, j)
     ii = np.where(flip, n - i - 1, i)
-    left = _fair_cdf_left(n, alpha, y, ii, jj)
+    left = _fair_cdf_left(n, alpha, powers, y, ii, jj)
     cdf = np.where(flip, 1.0 - left, left)
     cdf = np.where(i >= n, 1.0, cdf)
     return np.where(i < 0, 0.0, cdf)
@@ -194,14 +180,15 @@ def explicit_fair_mechanism(n: int, alpha: float) -> Mechanism:
     n = int(n)
     alpha = float(alpha)
     y = em_diagonal(n, alpha)
+    powers = power_table(alpha, n + 2)
     spec = ClosedFormSpec(
         factory="EM",
         params={"alpha": alpha},
-        column_fn=lambda j: _fair_column(n, alpha, y, j),
-        cdf_fn=lambda i, j: _fair_cdf(n, alpha, y, i, j),
+        column_fn=lambda j: _fair_column(n, alpha, powers, y, j),
+        cdf_fn=lambda i, j: _fair_cdf(n, alpha, powers, y, i, j),
         # The diagonal is the constant fair value y (1 for the identity
         # limit α = 0).
-        diagonal_fn=lambda: np.full(n + 1, 1.0 if alpha == 0.0 else y * alpha**0.0),
+        diagonal_fn=lambda: np.full(n + 1, 1.0 if alpha == 0.0 else y),
         # Row-adjacent exponents differ by at most one and by exactly one
         # somewhere in every column pair, so DP is tight at α.
         max_alpha_fn=lambda: alpha,

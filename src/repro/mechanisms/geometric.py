@@ -12,7 +12,8 @@ point that the constrained mechanisms are compared against.
 
 Because every column (and the column CDF) has a closed form,
 :func:`geometric_mechanism` returns a
-:class:`~repro.core.mechanism.ClosedFormMechanism`: O(1) memory, analytic
+:class:`~repro.core.mechanism.ClosedFormMechanism`: an O(min(n, K)) power
+table (:mod:`repro.mechanisms.powers`) instead of a matrix, analytic
 ``max_alpha`` and property answers, and inverse-CDF sampling that never
 builds the matrix.  :func:`geometric_matrix` still materialises the dense
 Figure-3 matrix — it is assembled from the same column function the closed
@@ -34,6 +35,7 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from repro.core.mechanism import ClosedFormMechanism, ClosedFormSpec, Mechanism
+from repro.mechanisms.powers import power_table, powers_at, two_sided
 
 
 def _check_parameters(n: int, alpha: float) -> None:
@@ -43,30 +45,28 @@ def _check_parameters(n: int, alpha: float) -> None:
         raise ValueError("alpha must lie in [0, 1]")
 
 
-def geometric_column(n: int, alpha: float, j: int) -> np.ndarray:
-    """Column ``j`` of GM's matrix (Figure 3), evaluated directly.
+def _geometric_column(n: int, alpha: float, powers: np.ndarray, j: int) -> np.ndarray:
+    """Column ``j`` of GM's matrix (Figure 3), with ``powers = power_table(alpha, n + 2)``.
 
     This single function backs both representations: the dense
     :func:`geometric_matrix` stacks it and the closed-form mechanism
     evaluates it on demand, which is what makes the two bit-identical.
     """
-    size = n + 1
     if alpha == 0.0:
         # Noise collapses onto zero: the identity (truthful) mechanism.
-        column = np.zeros(size)
+        column = np.zeros(n + 1)
         column[j] = 1.0
         return column
     if alpha == 1.0:
         # The two-sided geometric distribution degenerates; all mass is
         # pushed to the clamping rows.
-        column = np.zeros(size)
+        column = np.zeros(n + 1)
         column[0] = 0.5
         column[n] = 0.5
         return column
     x = 1.0 / (1.0 + alpha)
     y = (1.0 - alpha) / (1.0 + alpha)
-    exponents = np.abs(np.arange(size) - j).astype(float)
-    column = y * alpha**exponents
+    column = two_sided(powers, n + 1, j, y)
     column[0] = x * alpha ** float(j)
     column[n] = x * alpha ** float(n - j)
     return column
@@ -81,10 +81,13 @@ def geometric_matrix(n: int, alpha: float) -> np.ndarray:
     the limit matrix splits each column evenly between outputs 0 and n.
     """
     _check_parameters(n, alpha)
-    return np.column_stack([geometric_column(n, alpha, j) for j in range(n + 1)])
+    powers = power_table(alpha, n + 2)
+    return np.column_stack([_geometric_column(n, alpha, powers, j) for j in range(n + 1)])
 
 
-def _geometric_cdf(n: int, alpha: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _geometric_cdf(
+    n: int, alpha: float, powers: np.ndarray, i: np.ndarray, j: np.ndarray
+) -> np.ndarray:
     """Analytic column CDF ``F(i | j)`` of GM, vectorised over (i, j) arrays.
 
     The two-sided geometric tails sum in closed form:
@@ -99,10 +102,9 @@ def _geometric_cdf(n: int, alpha: float, i: np.ndarray, j: np.ndarray) -> np.nda
         cdf = np.full(np.broadcast(i, j).shape, 0.5)
     else:
         x = 1.0 / (1.0 + alpha)
-        # Clamp exponents at zero so the branch not selected by `where`
-        # cannot overflow (alpha ** -large).
-        below = x * alpha ** np.maximum(j - i, 0).astype(float)
-        above = 1.0 - x * alpha ** np.maximum(i - j + 1, 0).astype(float)
+        # The branch not selected by `where` reads a clipped exponent.
+        below = x * powers_at(powers, j - i)
+        above = 1.0 - x * powers_at(powers, i - j + 1)
         cdf = np.where(i < j, below, above)
     cdf = np.where(i >= n, 1.0, cdf)
     return np.where(i < 0, 0.0, cdf)
@@ -155,11 +157,12 @@ def geometric_mechanism(n: int, alpha: float) -> Mechanism:
     _check_parameters(n, alpha)
     alpha = float(alpha)
     n = int(n)
+    powers = power_table(alpha, n + 2)
     spec = ClosedFormSpec(
         factory="GM",
         params={"alpha": alpha},
-        column_fn=lambda j: geometric_column(n, alpha, j),
-        cdf_fn=lambda i, j: _geometric_cdf(n, alpha, i, j),
+        column_fn=lambda j: _geometric_column(n, alpha, powers, j),
+        cdf_fn=lambda i, j: _geometric_cdf(n, alpha, powers, i, j),
         diagonal_fn=lambda: _geometric_diagonal(n, alpha),
         # Adjacent interior entries differ by exactly one power of α, so
         # Definition 2 is tight at the design parameter.

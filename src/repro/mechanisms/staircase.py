@@ -35,6 +35,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.core.mechanism import ClosedFormMechanism, ClosedFormSpec, Mechanism
+from repro.mechanisms.powers import power_table, powers_at, two_sided
 
 
 def _check_parameters(n: int, alpha: float, width: int) -> None:
@@ -44,11 +45,6 @@ def _check_parameters(n: int, alpha: float, width: int) -> None:
         raise ValueError("the staircase mechanism requires alpha in (0, 1)")
     if width < 1 or int(width) != width:
         raise ValueError("plateau width must be a positive integer")
-
-
-def _unnormalised_weight(delta: int, alpha: float, width: int) -> float:
-    """Unnormalised probability weight ``α^{floor(|δ| / width)}``."""
-    return alpha ** (abs(delta) // width)
 
 
 def _unnormalised_upper_tail(threshold: int, alpha: float, width: int) -> float:
@@ -67,13 +63,15 @@ def _unnormalised_upper_tail(threshold: int, alpha: float, width: int) -> float:
     return partial_plateau + remaining_plateaus
 
 
-def _upper_tail_array(thresholds: np.ndarray, alpha: float, width: int) -> np.ndarray:
+def _upper_tail_array(
+    thresholds: np.ndarray, alpha: float, width: int, powers: np.ndarray
+) -> np.ndarray:
     """Vectorised :func:`_unnormalised_upper_tail` over a threshold array (>= 1)."""
     thresholds = np.asarray(thresholds, dtype=np.int64)
     level = thresholds // width
     next_boundary = (level + 1) * width
-    partial_plateau = (next_boundary - thresholds) * alpha ** level.astype(float)
-    remaining_plateaus = width * alpha ** (level + 1.0) / (1.0 - alpha)
+    partial_plateau = (next_boundary - thresholds) * powers_at(powers, level)
+    remaining_plateaus = width * powers_at(powers, level + 1) / (1.0 - alpha)
     return partial_plateau + remaining_plateaus
 
 
@@ -87,23 +85,21 @@ def staircase_noise_pmf(alpha: float, width: int, support: int) -> np.ndarray:
     if support < 0:
         raise ValueError("support must be non-negative")
     offsets = np.arange(-support, support + 1)
-    weights = alpha ** (np.abs(offsets) // width)
+    weights = powers_at(power_table(alpha, support // width + 1), np.abs(offsets) // width)
     return weights / weights.sum()
 
 
-def staircase_column(n: int, alpha: float, width: int, j: int) -> np.ndarray:
+def _staircase_column(n: int, alpha: float, width: int, plateaus: np.ndarray, j: int) -> np.ndarray:
     """Column ``j`` of the truncated staircase matrix, evaluated directly.
 
+    ``plateaus[d]`` is the weight ``α^{floor(d / width)}`` of offset ``d``.
     Interior outputs carry the plateau weight of their offset from the true
     count; the clamping outputs 0 and ``n`` absorb the exact mass of the two
     infinite tails, so each column sums to one with no truncation error.
     This one function backs both the dense matrix and the closed form.
     """
-    size = n + 1
     normaliser = 1.0 + 2.0 * _unnormalised_upper_tail(1, alpha, width)
-    column = np.zeros(size)
-    interior = np.arange(1, size - 1)
-    column[1 : size - 1] = alpha ** (np.abs(interior - j) // width).astype(float)
+    column = two_sided(plateaus, n + 1, j, 1.0)
     # Output 0 absorbs all noise <= -j; by symmetry of the noise this is
     # the upper tail at threshold j (plus the point mass at 0 when j = 0).
     if j == 0:
@@ -118,14 +114,22 @@ def staircase_column(n: int, alpha: float, width: int, j: int) -> np.ndarray:
     return column / normaliser
 
 
+def _plateau_table(powers: np.ndarray, width: int, n: int) -> np.ndarray:
+    """``α^{floor(d / width)}`` for offsets ``d`` in ``[0, n]``, cut like ``powers``."""
+    return np.repeat(powers, width)[: n + 1]
+
+
 def staircase_matrix(n: int, alpha: float, width: int = 1) -> np.ndarray:
     """Transition matrix of the truncated discrete staircase mechanism."""
     _check_parameters(n, alpha, width)
-    return np.column_stack([staircase_column(n, alpha, width, j) for j in range(n + 1)])
+    plateaus = _plateau_table(power_table(alpha, n + 2), width, n)
+    return np.column_stack(
+        [_staircase_column(n, alpha, width, plateaus, j) for j in range(n + 1)]
+    )
 
 
 def _staircase_cdf(
-    n: int, alpha: float, width: int, i: np.ndarray, j: np.ndarray
+    n: int, alpha: float, width: int, powers: np.ndarray, i: np.ndarray, j: np.ndarray
 ) -> np.ndarray:
     """Analytic column CDF of the truncated staircase mechanism.
 
@@ -136,8 +140,8 @@ def _staircase_cdf(
     i = np.asarray(i, dtype=np.int64)
     j = np.asarray(j, dtype=np.int64)
     normaliser = 1.0 + 2.0 * _unnormalised_upper_tail(1, alpha, width)
-    below = _upper_tail_array(np.maximum(j - i, 1), alpha, width) / normaliser
-    above = 1.0 - _upper_tail_array(np.maximum(i - j + 1, 1), alpha, width) / normaliser
+    below = _upper_tail_array(np.maximum(j - i, 1), alpha, width, powers) / normaliser
+    above = 1.0 - _upper_tail_array(np.maximum(i - j + 1, 1), alpha, width, powers) / normaliser
     cdf = np.where(i < j, below, above)
     cdf = np.where(i >= n, 1.0, cdf)
     return np.where(i < 0, 0.0, cdf)
@@ -149,11 +153,13 @@ def staircase_mechanism(n: int, alpha: float, width: int = 1) -> Mechanism:
     n = int(n)
     alpha = float(alpha)
     width = int(width)
+    powers = power_table(alpha, n + 2)
+    plateaus = _plateau_table(powers, width, n)
     spec = ClosedFormSpec(
         factory="STAIRCASE",
         params={"alpha": alpha, "width": width},
-        column_fn=lambda j: staircase_column(n, alpha, width, j),
-        cdf_fn=lambda i, j: _staircase_cdf(n, alpha, width, i, j),
+        column_fn=lambda j: _staircase_column(n, alpha, width, plateaus, j),
+        cdf_fn=lambda i, j: _staircase_cdf(n, alpha, width, powers, i, j),
     )
     mechanism = ClosedFormMechanism(
         n=n,

@@ -23,6 +23,11 @@ tests and benchmarks can assert that the package is bit-identical to it:
   column-CDF rows; :func:`bulk_column_cdfs` is the dense backend's
   whole-matrix build of those rows, and :func:`reference_inverse_sample`
   picks the sampler a representation used.
+* :func:`geometric_column`, :func:`fair_column`, :func:`staircase_column`,
+  their ``*_matrix`` stacks and CDFs compute integer powers of α with
+  array pow, as GM, EM and STAIRCASE did before they read them from
+  :func:`repro.mechanisms.powers.power_table`;
+  :func:`reference_closed_form` rebuilds a closed-form mechanism on them.
 
 None of them is meant for large inputs.  The module is imported by both
 ``tests/`` and ``benchmarks/``; ``benchmarks/conftest.py`` puts this
@@ -38,8 +43,9 @@ import numpy as np
 
 from repro.core.constraints import MechanismLP, MechanismLPBuilder
 from repro.core.losses import Objective
-from repro.core.mechanism import Mechanism
+from repro.core.mechanism import ClosedFormMechanism, ClosedFormSpec, Mechanism
 from repro.core.properties import StructuralProperty
+from repro.core.theory import em_diagonal
 from repro.data.groups import GroupedCounts
 from repro.engine.plan import ReleasePlan
 from repro.eval.empirical import EmpiricalResult, MetricFunction, _prepare_evaluation
@@ -47,6 +53,10 @@ from repro.histogram.release import HistogramRelease
 from repro.lp import scipy_backend
 from repro.lp.model import SENSE_EQ, SENSE_GE, LinearProgram, ObjectiveSense, Variable
 from repro.lp.solver import LPError, LPSolution, LPStatus
+from repro.mechanisms.fair import fair_exponent_matrix
+from repro.mechanisms.geometric import _check_parameters
+from repro.mechanisms.staircase import _check_parameters as _check_staircase_parameters
+from repro.mechanisms.staircase import _unnormalised_upper_tail
 
 
 # ---------------------------------------------------------------------- #
@@ -490,3 +500,308 @@ def reference_inverse_sample(
     if mechanism.is_dense:
         return offset_search_sample(bulk_column_cdfs(mechanism.matrix), counts, uniforms)
     return ColumnLRUSampler(mechanism).sample(counts, uniforms)
+
+
+# ---------------------------------------------------------------------- #
+# Closed forms: integer powers of alpha by array pow
+# ---------------------------------------------------------------------- #
+def geometric_column(n: int, alpha: float, j: int) -> np.ndarray:
+    """Column ``j`` of GM's matrix (Figure 3), evaluated directly.
+
+    This single function backs both representations: the dense
+    :func:`geometric_matrix` stacks it and the closed-form mechanism
+    evaluates it on demand, which is what makes the two bit-identical.
+    """
+    size = n + 1
+    if alpha == 0.0:
+        # Noise collapses onto zero: the identity (truthful) mechanism.
+        column = np.zeros(size)
+        column[j] = 1.0
+        return column
+    if alpha == 1.0:
+        # The two-sided geometric distribution degenerates; all mass is
+        # pushed to the clamping rows.
+        column = np.zeros(size)
+        column[0] = 0.5
+        column[n] = 0.5
+        return column
+    x = 1.0 / (1.0 + alpha)
+    y = (1.0 - alpha) / (1.0 + alpha)
+    exponents = np.abs(np.arange(size) - j).astype(float)
+    column = y * alpha**exponents
+    column[0] = x * alpha ** float(j)
+    column[n] = x * alpha ** float(n - j)
+    return column
+
+
+def geometric_matrix(n: int, alpha: float) -> np.ndarray:
+    """Exact probability matrix of GM (Figure 3).
+
+    For ``α = 0`` the noise distribution collapses onto zero and GM becomes
+    the identity (truthful) mechanism; for ``α = 1`` the two-sided geometric
+    distribution degenerates and all mass is pushed to the clamping rows, so
+    the limit matrix splits each column evenly between outputs 0 and n.
+    """
+    _check_parameters(n, alpha)
+    return np.column_stack([geometric_column(n, alpha, j) for j in range(n + 1)])
+
+
+def _geometric_cdf(n: int, alpha: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Analytic column CDF ``F(i | j)`` of GM, vectorised over (i, j) arrays.
+
+    The two-sided geometric tails sum in closed form:
+    ``F(i | j) = x α^{j−i}`` for ``i < j`` and ``1 − x α^{i−j+1}`` for
+    ``i >= j`` (with ``F(-1) = 0`` and ``F(n) = 1`` exactly).
+    """
+    i = np.asarray(i, dtype=np.int64)
+    j = np.asarray(j, dtype=np.int64)
+    if alpha == 0.0:
+        cdf = (i >= j).astype(float)
+    elif alpha == 1.0:
+        cdf = np.full(np.broadcast(i, j).shape, 0.5)
+    else:
+        x = 1.0 / (1.0 + alpha)
+        # Clamp exponents at zero so the branch not selected by `where`
+        # cannot overflow (alpha ** -large).
+        below = x * alpha ** np.maximum(j - i, 0).astype(float)
+        above = 1.0 - x * alpha ** np.maximum(i - j + 1, 0).astype(float)
+        cdf = np.where(i < j, below, above)
+    cdf = np.where(i >= n, 1.0, cdf)
+    return np.where(i < 0, 0.0, cdf)
+
+
+def fair_exponent_column(n: int, j: int) -> np.ndarray:
+    """Column ``j`` of the Equation-16 exponent pattern (integer array)."""
+    distance = np.abs(np.arange(n + 1) - j)
+    edge_distance = min(j, n - j)
+    return np.where(distance < edge_distance, distance, (distance + edge_distance + 1) // 2)
+
+
+def fair_column(n: int, alpha: float, j: int) -> np.ndarray:
+    """Column ``j`` of EM's matrix, evaluated directly from Equation 16.
+
+    Backs both the dense :func:`fair_matrix` and the closed-form mechanism;
+    the elementwise power/scale operations match the full-matrix build
+    bit-for-bit.
+    """
+    _check_parameters(n, alpha)
+    if alpha == 0.0:
+        column = np.zeros(n + 1)
+        column[j] = 1.0
+        return column
+    return _fair_column(n, alpha, em_diagonal(n, alpha), j)
+
+
+def _fair_column(n: int, alpha: float, y: float, j: int) -> np.ndarray:
+    """:func:`fair_column` with the normaliser ``y`` precomputed by the caller."""
+    if alpha == 0.0:
+        column = np.zeros(n + 1)
+        column[j] = 1.0
+        return column
+    exponents = fair_exponent_column(n, j).astype(float)
+    return y * alpha**exponents
+
+
+def fair_matrix(n: int, alpha: float) -> np.ndarray:
+    """Exact probability matrix of EM.
+
+    For ``α = 0`` the construction degenerates to the identity mechanism
+    (only the zero exponent survives); for ``α = 1`` every power equals one
+    and EM coincides with the uniform mechanism.
+    """
+    _check_parameters(n, alpha)
+    size = n + 1
+    if alpha == 0.0:
+        return np.eye(size)
+    exponents = fair_exponent_matrix(n)
+    unnormalised = alpha ** exponents.astype(float)
+    diagonal_value = em_diagonal(n, alpha)
+    matrix = diagonal_value * unnormalised
+    return matrix
+
+
+def _geometric_sum(alpha: float, terms: np.ndarray) -> np.ndarray:
+    """``1 + α + … + α^{t−1}`` for a non-negative integer array ``t`` (α < 1)."""
+    return (1.0 - alpha ** np.maximum(terms, 0).astype(float)) / (1.0 - alpha)
+
+
+def _fair_tail_sum(alpha: float, r: np.ndarray) -> np.ndarray:
+    """``Σ_{s=0}^{r} α^{ceil(s/2)}`` for a non-negative integer array ``r``.
+
+    The exponents pair up (1, α, α, α², α², …): ``r = 2q`` gives
+    ``1 + 2 α (1 + … + α^{q−1})`` and an odd remainder adds ``α^{q+1}``.
+    """
+    r = np.maximum(r, 0)
+    q = r // 2
+    total = 1.0 + 2.0 * alpha * _geometric_sum(alpha, q)
+    return total + np.where(r % 2 == 1, alpha ** (q + 1.0), 0.0)
+
+
+def _fair_cdf_left(n: int, alpha: float, y: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Analytic ``F(i | j)`` for columns in the left half (``j <= n − j``).
+
+    The Equation-16 column splits into the clamped entry at 0 (exponent
+    ``j``), the two-sided geometric interior ``k ∈ [1, 2j − 1]`` (exponent
+    ``|k − j|``) and the paired tail ``k ∈ [max(2j, 1), n]`` (exponent
+    ``ceil(k/2)``); each piece has a geometric closed form.
+    """
+    i = np.asarray(i, dtype=np.int64)
+    j = np.asarray(j, dtype=np.int64)
+    # Entry k = 0 carries exponent j (for j = 0 this is the tail's r = 0 term).
+    head = alpha ** j.astype(float)
+    # Interior k in [1, min(i, 2j - 1)] — empty when j == 0 or i < 1.
+    interior_top = np.minimum(i, 2 * j - 1)
+    rising = alpha ** np.maximum(j - interior_top, 0).astype(float) * _geometric_sum(
+        alpha, interior_top
+    )
+    falling = _geometric_sum(alpha, j) + alpha * _geometric_sum(alpha, interior_top - j)
+    interior = np.where(interior_top <= j, rising, falling)
+    interior = np.where(interior_top < 1, 0.0, interior)
+    # Tail k in [max(2j, 1), i]: exponent ceil(k/2) = j + ceil(r/2) with
+    # k = 2j + r.  For j = 0 the r = 0 term is the head entry, so drop it.
+    tail_terms = _fair_tail_sum(alpha, i - 2 * j)
+    tail_terms = np.where(j == 0, tail_terms - 1.0, tail_terms)
+    tail = alpha ** j.astype(float) * tail_terms
+    tail = np.where(i < np.maximum(2 * j, 1), 0.0, tail)
+    cdf = y * (head + interior + tail)
+    cdf = np.where(i >= n, 1.0, cdf)
+    return np.where(i < 0, 0.0, cdf)
+
+
+def _fair_cdf(n: int, alpha: float, y: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Analytic column CDF of EM, vectorised over (i, j) arrays.
+
+    Right-half columns reduce to left-half ones through EM's
+    centro-symmetry: ``F(i | j) = 1 − F(n − i − 1 | n − j)``.
+    """
+    i = np.asarray(i, dtype=np.int64)
+    j = np.asarray(j, dtype=np.int64)
+    if alpha == 0.0:
+        return (i >= j).astype(float)
+    if alpha == 1.0:
+        cdf = (i + 1.0) / (n + 1.0)
+        cdf = np.where(i >= n, 1.0, cdf)
+        return np.where(i < 0, 0.0, cdf)
+    flip = j > n - j
+    jj = np.where(flip, n - j, j)
+    ii = np.where(flip, n - i - 1, i)
+    left = _fair_cdf_left(n, alpha, y, ii, jj)
+    cdf = np.where(flip, 1.0 - left, left)
+    cdf = np.where(i >= n, 1.0, cdf)
+    return np.where(i < 0, 0.0, cdf)
+
+
+def _upper_tail_array(thresholds: np.ndarray, alpha: float, width: int) -> np.ndarray:
+    """Vectorised :func:`_unnormalised_upper_tail` over a threshold array (>= 1)."""
+    thresholds = np.asarray(thresholds, dtype=np.int64)
+    level = thresholds // width
+    next_boundary = (level + 1) * width
+    partial_plateau = (next_boundary - thresholds) * alpha ** level.astype(float)
+    remaining_plateaus = width * alpha ** (level + 1.0) / (1.0 - alpha)
+    return partial_plateau + remaining_plateaus
+
+
+def staircase_noise_pmf(alpha: float, width: int, support: int) -> np.ndarray:
+    """PMF of staircase noise on ``{-support, …, +support}``, renormalised.
+
+    Intended for inspection and plotting; :func:`staircase_matrix` folds the
+    infinite tails exactly rather than truncating them.
+    """
+    _check_staircase_parameters(1, alpha, width)
+    if support < 0:
+        raise ValueError("support must be non-negative")
+    offsets = np.arange(-support, support + 1)
+    weights = alpha ** (np.abs(offsets) // width)
+    return weights / weights.sum()
+
+
+def staircase_column(n: int, alpha: float, width: int, j: int) -> np.ndarray:
+    """Column ``j`` of the truncated staircase matrix, evaluated directly.
+
+    Interior outputs carry the plateau weight of their offset from the true
+    count; the clamping outputs 0 and ``n`` absorb the exact mass of the two
+    infinite tails, so each column sums to one with no truncation error.
+    This one function backs both the dense matrix and the closed form.
+    """
+    size = n + 1
+    normaliser = 1.0 + 2.0 * _unnormalised_upper_tail(1, alpha, width)
+    column = np.zeros(size)
+    interior = np.arange(1, size - 1)
+    column[1 : size - 1] = alpha ** (np.abs(interior - j) // width).astype(float)
+    # Output 0 absorbs all noise <= -j; by symmetry of the noise this is
+    # the upper tail at threshold j (plus the point mass at 0 when j = 0).
+    if j == 0:
+        column[0] = 1.0 + _unnormalised_upper_tail(1, alpha, width)
+    else:
+        column[0] = _unnormalised_upper_tail(j, alpha, width)
+    # Output n absorbs all noise >= n - j.
+    if j == n:
+        column[n] = 1.0 + _unnormalised_upper_tail(1, alpha, width)
+    else:
+        column[n] = _unnormalised_upper_tail(n - j, alpha, width)
+    return column / normaliser
+
+
+def staircase_matrix(n: int, alpha: float, width: int = 1) -> np.ndarray:
+    """Transition matrix of the truncated discrete staircase mechanism."""
+    _check_staircase_parameters(n, alpha, width)
+    return np.column_stack([staircase_column(n, alpha, width, j) for j in range(n + 1)])
+
+
+def _staircase_cdf(
+    n: int, alpha: float, width: int, i: np.ndarray, j: np.ndarray
+) -> np.ndarray:
+    """Analytic column CDF of the truncated staircase mechanism.
+
+    Clamping makes the CDF a pure tail expression of the additive noise:
+    ``F(i | j) = tail(j − i) / Z`` below the true count and
+    ``1 − tail(i − j + 1) / Z`` at or above it.
+    """
+    i = np.asarray(i, dtype=np.int64)
+    j = np.asarray(j, dtype=np.int64)
+    normaliser = 1.0 + 2.0 * _unnormalised_upper_tail(1, alpha, width)
+    below = _upper_tail_array(np.maximum(j - i, 1), alpha, width) / normaliser
+    above = 1.0 - _upper_tail_array(np.maximum(i - j + 1, 1), alpha, width) / normaliser
+    cdf = np.where(i < j, below, above)
+    cdf = np.where(i >= n, 1.0, cdf)
+    return np.where(i < 0, 0.0, cdf)
+
+
+def reference_closed_form(mechanism: ClosedFormMechanism) -> ClosedFormMechanism:
+    """``mechanism`` rebuilt on the pow-based column and CDF functions above.
+
+    GM, EM and STAIRCASE get the columns and CDFs their factories used
+    before the power table; every other closed form keeps its own, so a
+    test can run one grid over all of them.
+    """
+    spec = mechanism.spec
+    n = mechanism.n
+    alpha = spec.params.get("alpha")
+    column_fn, cdf_fn = spec.column_fn, spec.cdf_fn
+    if spec.factory == "GM":
+        column_fn = lambda j: geometric_column(n, alpha, j)
+        cdf_fn = lambda i, j: _geometric_cdf(n, alpha, i, j)
+    elif spec.factory == "EM":
+        y = em_diagonal(n, alpha)
+        column_fn = lambda j: _fair_column(n, alpha, y, j)
+        cdf_fn = lambda i, j: _fair_cdf(n, alpha, y, i, j)
+    elif spec.factory == "STAIRCASE":
+        width = spec.params["width"]
+        column_fn = lambda j: staircase_column(n, alpha, width, j)
+        cdf_fn = lambda i, j: _staircase_cdf(n, alpha, width, i, j)
+    reference_spec = ClosedFormSpec(
+        factory=spec.factory,
+        params=spec.params,
+        column_fn=column_fn,
+        cdf_fn=cdf_fn,
+        diagonal_fn=spec.diagonal_fn,
+        max_alpha_fn=spec.max_alpha_fn,
+        properties_fn=spec.properties_fn,
+    )
+    return ClosedFormMechanism(
+        n=n,
+        spec=reference_spec,
+        name=mechanism.name,
+        alpha=mechanism.alpha,
+        metadata=dict(mechanism.metadata),
+    )
