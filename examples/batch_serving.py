@@ -25,6 +25,7 @@ import numpy as np
 import repro
 from repro.core.mechanism import Mechanism
 from repro.lp.solver import solve_call_count
+from repro.serving.stats import stats_line
 
 
 def main() -> None:
@@ -63,7 +64,7 @@ def main() -> None:
         )
 
     print()
-    print("session:", session.describe())
+    print("session:", stats_line(session.stats_payload()))
 
     print()
     print("=" * 72)

@@ -35,7 +35,7 @@ def main() -> None:
     print(f"Compiling one plan: GM at n={n}, alpha={alpha}")
     print("=" * 72)
     plan = repro.compile_plan(n, alpha)
-    print(plan.describe())
+    print(plan.stats())
 
     # ------------------------------------------------------------------ #
     # Chunked streaming is bit-identical to the one-shot release.

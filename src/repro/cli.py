@@ -494,14 +494,9 @@ def _parse_request_rows(path: Path) -> List["ReleaseRequest"]:
 
 
 def _command_serve_batch(args: argparse.Namespace) -> int:
-    from repro.engine.plan import ReleasePlan
-    from repro.lp.solver import solve_call_count
     from repro.privacy import BudgetExceededError
     from repro.serving import BatchReleaseSession, DesignCache
 
-    solves_before = solve_call_count()
-    densifications_before = Mechanism.densifications
-    compilations_before = ReleasePlan.compilations
     cache = DesignCache(capacity=args.cache_size, directory=args.cache_dir)
     rng = np.random.default_rng(args.seed)
     session = BatchReleaseSession(cache=cache, rng=rng, budget_alpha=args.budget_alpha)
@@ -552,34 +547,22 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
         print(f"wrote {len(lines)} released counts to {args.output}")
     else:
         print("\n".join(lines))
-    if args.stats:
-        print(f"serve-batch: {session.describe()} "
-              f"lp_solves={solve_call_count() - solves_before} "
-              f"densifications={Mechanism.densifications - densifications_before}")
-    if args.stats_json:
-        # Stderr, like serve-stream's --stats: the released counts (or the
-        # summary line) own stdout, and a machine consumer wants the JSON
-        # object on its own clean channel.
-        from repro.serving.stats import stats_payload
-
-        print(
-            json.dumps(
-                stats_payload(
-                    "serve-batch",
-                    records=session.stats.records,
-                    batches=session.stats.batches,
-                    distinct_designs=session.stats.distinct_designs,
-                    cache=cache.stats(),
-                    accountant=session.accountant,
-                    budget_refusals=session.stats.budget_refusals,
-                    lp_solves=solve_call_count() - solves_before,
-                    plans_compiled=ReleasePlan.compilations - compilations_before,
-                    densifications=Mechanism.densifications - densifications_before,
-                )
-            ),
-            file=sys.stderr,
-        )
+    _report_stats(args, session.stats_payload(), sys.stdout)
     return 0
+
+
+def _report_stats(args: argparse.Namespace, payload: dict, stats_stream) -> None:
+    """Print ``payload`` as the ``--stats`` line and/or the ``--stats-json`` object.
+
+    The JSON goes to stderr so a machine consumer reads it on its own clean
+    channel; the line goes to ``stats_stream``.
+    """
+    from repro.serving.stats import stats_line
+
+    if args.stats:
+        print(stats_line(payload), file=stats_stream)
+    if args.stats_json:
+        print(json.dumps(payload), file=sys.stderr)
 
 
 def _iter_count_lines(args: argparse.Namespace):
@@ -637,9 +620,9 @@ def _command_serve_stream(args: argparse.Namespace) -> int:
     from repro.engine import ReleasePlan, StreamExecutor
     from repro.engine.durability import LedgerError
     from repro.engine.stream_io import NpyCountWriter, is_npy_path, open_npy_counts
-    from repro.lp.solver import solve_call_count
     from repro.privacy import BudgetExceededError, PrivacyAccountant
     from repro.serving import DesignCache
+    from repro.serving.stats import counter_snapshot
 
     if args.chunk_size < 1:
         raise SystemExit("--chunk-size must be positive")
@@ -656,8 +639,7 @@ def _command_serve_stream(args: argparse.Namespace) -> int:
             )
     if args.resume and args.ledger is None:
         raise SystemExit("--resume requires --ledger (there is nothing to resume from)")
-    solves_before = solve_call_count()
-    densifications_before = Mechanism.densifications
+    started = counter_snapshot()
     cache = DesignCache(capacity=args.cache_size, directory=args.cache_dir)
     try:
         plan = ReleasePlan.compile(args.n, args.alpha, properties=args.properties, cache=cache)
@@ -810,34 +792,9 @@ def _command_serve_stream(args: argparse.Namespace) -> int:
                 f"{args.output} before the refusal (PARTIAL output)",
                 file=sys.stderr,
             )
-    if args.stats:
-        # Stats go to stderr: without --output the released counts own
-        # stdout, and a stats line interleaved there would corrupt a
-        # downstream pipe consumer.
-        print(f"serve-stream: {executor.describe()} "
-              f"lp_solves={solve_call_count() - solves_before} "
-              f"densifications={Mechanism.densifications - densifications_before}",
-              file=sys.stderr)
-    if args.stats_json:
-        from repro.serving.stats import stats_payload
-
-        print(
-            json.dumps(
-                stats_payload(
-                    "serve-stream",
-                    records=served,
-                    chunks=executor.stats.chunks,
-                    resumed_chunks=executor.stats.resumed_chunks,
-                    cache=cache.stats(),
-                    accountant=executor.accountant,
-                    budget_refusals=1 if status == 1 else 0,
-                    lp_solves=solve_call_count() - solves_before,
-                    plans_compiled=1,
-                    densifications=Mechanism.densifications - densifications_before,
-                )
-            ),
-            file=sys.stderr,
-        )
+    # Stats go to stderr: without --output the released counts own stdout,
+    # and a stats line interleaved there would corrupt a downstream pipe.
+    _report_stats(args, executor.stats_payload(started, cache), sys.stderr)
     return status
 
 
@@ -921,10 +878,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             Path(args.unix_socket).unlink(missing_ok=True)
         except OSError:  # pragma: no cover - best-effort cleanup
             pass
-    if args.stats:
-        print(f"serve: {daemon.describe()}")
-    if args.stats_json:
-        print(json.dumps(daemon.stats_payload()), file=sys.stderr)
+    _report_stats(args, daemon.stats_payload(), sys.stdout)
     return 0
 
 

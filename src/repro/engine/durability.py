@@ -196,12 +196,6 @@ class AccountantLedger:
         #: at EOF by :meth:`open` and only ever appends) — saves a
         #: ``tell()`` per record on the serving hot path.
         self._offset: int = handle.tell()
-        #: Pre-serialised ``(head, tail)`` byte templates for charge
-        #: records, keyed by everything except ``chunk``/``crc`` (the only
-        #: fields that vary between a tenant's steady-state charges).
-        #: ``None`` marks a key whose record shape the template cannot
-        #: reproduce byte-for-byte — those fall back to ``json.dumps``.
-        self._charge_templates: Dict[tuple, Optional[Tuple[bytes, bytes]]] = {}
         self._closed = False
         self._crashed = False
 
@@ -395,7 +389,6 @@ class AccountantLedger:
         record: dict,
         faultable: bool = True,
         sync: Optional[bool] = None,
-        payload: Optional[bytes] = None,
     ) -> None:
         """Serialise, checksum, append and fsync one record.
 
@@ -404,16 +397,12 @@ class AccountantLedger:
         behind) the memory state.  ``sync=False`` defers the fsync to a
         later group-commit :meth:`sync` — the caller promises nothing
         derived from this record leaves the process before that sync.
-        ``payload`` lets a hot caller hand in the record's serialisation
-        (it must equal the canonical ``json.dumps`` below byte-for-byte —
-        :meth:`_charge_template` verifies that once per record shape).
         """
         if self._closed:
             raise LedgerError(f"{self.path}: ledger is closed")
-        if payload is None:
-            payload = json.dumps(
-                record, sort_keys=True, separators=(",", ":")
-            ).encode("utf-8")
+        payload = json.dumps(record, sort_keys=True, separators=(",", ":")).encode(
+            "utf-8"
+        )
         blob = _RECORD_HEAD.pack(len(payload), zlib.crc32(payload)) + payload
         if faultable:
             injector = _faults.get_injector()
@@ -565,66 +554,10 @@ class AccountantLedger:
             record["crc"] = int(crc)
         for key, value in (extra or {}).items():
             record.setdefault(key, value)
-        payload = None
-        if crc is not None:
-            # Steady-state serving charges differ only in chunk and crc;
-            # everything else is a per-tenant constant.  Serialise through
-            # a cached, once-verified byte template instead of a full
-            # sorted json.dumps per request.
-            try:
-                cache_key = (
-                    alpha,
-                    size,
-                    label,
-                    tuple(extra.items()) if extra else None,
-                )
-                template = self._charge_templates.get(cache_key, False)
-            except TypeError:  # unhashable extra value (e.g. a dict)
-                cache_key = (alpha, size, label, repr(extra))
-                template = self._charge_templates.get(cache_key, False)
-            if template is False:
-                template = self._charge_template(record)
-                if len(self._charge_templates) < 64:
-                    self._charge_templates[cache_key] = template
-            if template is not None:
-                head, tail = template
-                payload = (
-                    head + b"%d" % chunk + b',"crc":' + b"%d" % record["crc"] + tail
-                )
-        self._append(record, sync=sync, payload=payload)
+        self._append(record, sync=sync)
         self.accountant.record(alpha, label=label)
         self._charges[chunk] = record
         return True
-
-    @staticmethod
-    def _charge_template(record: dict) -> Optional[Tuple[bytes, bytes]]:
-        """``(head, tail)`` bytes around a charge record's chunk/crc fields.
-
-        Built once per record shape and verified against the canonical
-        ``json.dumps(..., sort_keys=True)`` serialisation of ``record``
-        itself — any shape the composition cannot reproduce exactly (an
-        ``extra`` key sorting before ``"crc"``, say) returns ``None`` and
-        stays on the generic path forever.
-        """
-        if sorted(record)[:3] != ["alpha", "chunk", "crc"]:
-            return None
-        head = ('{"alpha":%s,"chunk":' % json.dumps(record["alpha"])).encode("utf-8")
-        rest = ",".join(
-            "%s:%s"
-            % (
-                json.dumps(key),
-                json.dumps(record[key], sort_keys=True, separators=(",", ":")),
-            )
-            for key in sorted(record)[3:]
-        )
-        tail = (",%s}" % rest).encode("utf-8")
-        composed = (
-            head + b"%d" % record["chunk"] + b',"crc":' + b"%d" % record["crc"] + tail
-        )
-        canonical = json.dumps(record, sort_keys=True, separators=(",", ":")).encode(
-            "utf-8"
-        )
-        return (head, tail) if composed == canonical else None
 
     def record_refusal(
         self, chunk: int, label: str = "", sync: Optional[bool] = None
@@ -759,14 +692,6 @@ class AccountantLedger:
     def spent_alpha(self) -> float:
         """The wrapped accountant's composed spend (durable by construction)."""
         return self.accountant.spent_alpha()
-
-    def describe(self) -> str:
-        """One-line summary for CLI ``--stats`` output."""
-        return (
-            f"ledger={self.path.name} charges={len(self._charges)} "
-            f"refusals={len(self._refusals)} "
-            f"done={len(self._done)} {self.accountant.describe()}"
-        )
 
     # ------------------------------------------------------------------ #
     # Lifecycle

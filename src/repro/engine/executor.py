@@ -56,7 +56,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -64,6 +64,9 @@ from repro.engine import faults as _faults
 from repro.engine.durability import AccountantLedger, LedgerError, chunk_crc
 from repro.engine.plan import ReleasePlan
 from repro.privacy import BudgetExceededError, PrivacyAccountant
+
+if TYPE_CHECKING:
+    from repro.serving.cache import DesignCache
 
 #: Default number of counts released per chunk.
 DEFAULT_CHUNK_SIZE = 8192
@@ -162,6 +165,8 @@ class ExecutorStats:
     pool_rebuilds: int = 0
     #: Whether the run fell back to in-process sampling (pool unrecoverable).
     degraded: bool = False
+    #: Chunks refused before sampling because they would overrun the budget.
+    budget_refusals: int = 0
 
 
 class StreamExecutor:
@@ -577,7 +582,9 @@ class StreamExecutor:
 
     def _charge(self, index: int, chunk: np.ndarray) -> None:
         """Charge one chunk to :attr:`budget` before it is sampled."""
-        if self.budget is not None:
+        if self.budget is None:
+            return
+        try:
             self.budget.charge(
                 index,
                 self.plan.alpha_cost,
@@ -585,6 +592,9 @@ class StreamExecutor:
                 label=f"{self.plan.mechanism.name} chunk {index} ({chunk.shape[0]} counts)",
                 crc=chunk_crc(chunk),
             )
+        except BudgetExceededError:
+            self.stats.budget_refusals += 1
+            raise
 
     def _count(self, size: int) -> None:
         self.stats.chunks += 1
@@ -601,22 +611,30 @@ class StreamExecutor:
         self._count(released.shape[0])
         return self.plan.finish(released)
 
-    def describe(self) -> str:
-        """One-line summary for CLI ``--stats`` output."""
-        spent = "" if self.accountant is None else f" {self.accountant.describe()}"
-        resumed = (
-            f" resumed_chunks={self.stats.resumed_chunks}"
-            if self.stats.resumed_chunks
-            else ""
-        )
-        recovery = (
-            f" requeues={self.stats.requeues} pool_rebuilds={self.stats.pool_rebuilds}"
-            f"{' degraded' if self.stats.degraded else ''}"
-            if self.stats.requeues or self.stats.degraded
-            else ""
-        )
-        return (
-            f"chunks={self.stats.chunks} records={self.stats.records} "
-            f"chunk_size={self.chunk_size}{resumed}{recovery}{spent} "
-            f"{self.plan.describe()}"
+    def stats_payload(
+        self, since: Dict[str, float], cache: Optional["DesignCache"]
+    ) -> Dict[str, Any]:
+        """This run's ``serve-stream`` stats object (:mod:`repro.serving.stats`).
+
+        ``since`` is the :func:`~repro.serving.stats.counter_snapshot` taken
+        before the plan was compiled; ``cache`` the design cache it came
+        from (``None`` for a plan built without one).
+        """
+        from repro.serving.stats import stats_payload  # deferred: serving imports engine
+
+        return stats_payload(
+            "serve-stream",
+            records=self.stats.records,
+            since=since,
+            chunk_size=self.chunk_size,
+            chunks=self.stats.chunks,
+            resumed_chunks=self.stats.resumed_chunks,
+            resumed_records=self.stats.resumed_records,
+            requeues=self.stats.requeues,
+            pool_rebuilds=self.stats.pool_rebuilds,
+            degraded=self.stats.degraded,
+            plan=self.plan.stats(),
+            cache=None if cache is None else cache.stats(),
+            accountant=self.accountant,
+            budget_refusals=self.stats.budget_refusals,
         )

@@ -138,7 +138,7 @@ class ReleasePlan:
         self.postprocess = postprocess
         self.key = key
         self.prepared = False
-        # Execution counters (plan-level stats surfaced by describe()).
+        # Execution counters (plan-level stats surfaced by stats()).
         self.executions = 0
         self.records_released = 0
         ReleasePlan.compilations += 1
@@ -356,14 +356,6 @@ class ReleasePlan:
         descriptor: Dict[str, Any] = {"key": self.key}
         descriptor.update(fields)
         return descriptor
-
-    def describe(self) -> str:
-        """One-line summary used by the CLI's ``--stats`` output."""
-        return (
-            f"plan[{self.mechanism.name}/{self.mechanism.representation} "
-            f"n={self.n} branch={self.branch} alpha_cost={self.alpha_cost:g} "
-            f"executions={self.executions} records={self.records_released}]"
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -227,10 +227,6 @@ class PrivacyAccountant:
         """The recorded releases as (label, alpha) pairs, in order."""
         return list(self._releases)
 
-    def describe(self) -> str:
-        """One-line budget summary used by the engine/serving ``--stats`` output."""
-        return (
-            f"alpha_spent={self.spent_alpha():g} "
-            f"alpha_remaining={self.remaining_alpha():g} "
-            f"releases={len(self._releases)}"
-        )
+    def release_count(self) -> int:
+        """How many releases have been recorded (no copy of the history)."""
+        return len(self._releases)

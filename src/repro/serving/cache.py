@@ -162,6 +162,8 @@ class DesignCache:
         self._evictions = 0
         self._disk_hits = 0
         self._disk_errors = 0
+        #: Whether the registry tier is in use (cleared by :meth:`close`).
+        self._disk_open = self.registry is not None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -198,9 +200,17 @@ class DesignCache:
                 self.registry.clear()
 
     def close(self) -> None:
-        """Release the registry connection (the in-memory tier keeps working)."""
-        if self.registry is not None:
-            self.registry.close()
+        """Release the registry connection.
+
+        The cache keeps serving from memory: a later miss runs the selector
+        and keeps the design in memory only, and nothing is read from or
+        written to the registry again.  :meth:`stats` keeps its registry
+        counters.
+        """
+        with self._lock:
+            if self.registry is not None:
+                self.registry.close()
+            self._disk_open = False
 
     # ------------------------------------------------------------------ #
     # The main entry point
@@ -290,12 +300,12 @@ class DesignCache:
         returning anything, so a killed writer or bit-rotted row surfaces
         here as ``None`` and the caller re-solves and overwrites it.
         """
-        if self.registry is None:
+        if not self._disk_open:
             return None
         return self.registry.get(key)
 
     def _remove_from_disk(self, key: str) -> None:
-        if self.registry is not None:
+        if self._disk_open:
             self.registry.delete(key)
 
     def _store_to_disk(self, key: str, entry: Dict[str, Any]) -> None:
@@ -308,7 +318,7 @@ class DesignCache:
         death, and the rolled-back transaction guarantees a restart sees
         a clean miss, never a partial row.
         """
-        if self.registry is None:
+        if not self._disk_open:
             return
         try:
             self.registry.put(key, entry)

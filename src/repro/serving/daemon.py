@@ -78,7 +78,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.mechanism import Mechanism
 from repro.engine import faults as _faults
 from repro.engine.durability import (
     AccountantLedger,
@@ -87,7 +86,6 @@ from repro.engine.durability import (
     datasync as _datasync,
 )
 from repro.engine.plan import ReleasePlan
-from repro.lp.solver import solve_call_count
 from repro.privacy import BudgetExceededError, PrivacyAccountant
 from repro.serving.cache import DesignCache, design_key
 from repro.serving.protocol import (
@@ -105,7 +103,12 @@ from repro.serving.protocol import (
     refusal_response,
     tenant_seed_sequence,
 )
-from repro.serving.stats import budget_payload, health_payload, stats_payload
+from repro.serving.stats import (
+    budget_payload,
+    counter_snapshot,
+    health_payload,
+    stats_payload,
+)
 from repro.serving.tenant_store import TenantStore
 
 #: Default coalescing window in milliseconds.
@@ -364,7 +367,6 @@ class ServingDaemon:
         #: Shared compiled plans, LRU-bounded by the cache capacity (the
         #: same knob that bounds the design cache itself).
         self._plans: "OrderedDict[str, ReleasePlan]" = OrderedDict()
-        self._plans_compiled = 0
         self._pending: List[_PendingRequest] = []
         self._flush_handle: Optional[asyncio.TimerHandle] = None
         self._connections = 0
@@ -372,8 +374,7 @@ class ServingDaemon:
         self._closing = False
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopped = asyncio.Event()
-        self._solves_at_start = solve_call_count()
-        self._densifications_at_start = Mechanism.densifications
+        self._started = counter_snapshot()
         self.address: Optional[str] = None
         self.port: Optional[int] = None
 
@@ -537,7 +538,6 @@ class ServingDaemon:
                 key=key,
             )
             self._plans[key] = plan
-            self._plans_compiled += 1
         self._plans.move_to_end(key)
         while len(self._plans) > self.cache.capacity:
             self._plans.popitem(last=False)
@@ -1092,10 +1092,7 @@ class ServingDaemon:
             "replays": self.stats.replays,
             "ledger_errors": self.stats.ledger_errors,
         }
-        if self._store is not None:
-            extras["recovered_tenants"] = len(self._store.recovered)
-            extras["quarantined_tenants"] = len(self._store.quarantined)
-            extras["config_rejected_tenants"] = len(self._store.config_rejected)
+        extras.update(self._store_counts())
         return health_payload(
             draining=self._closing,
             pending=len(self._pending),
@@ -1111,6 +1108,7 @@ class ServingDaemon:
         return stats_payload(
             "serve",
             records=self.stats.records,
+            since=self._started,
             requests=self.stats.requests,
             batches=self.stats.batches,
             coalesced_requests=self.stats.coalesced_requests,
@@ -1124,27 +1122,17 @@ class ServingDaemon:
             replays=self.stats.replays,
             ledger_errors=self.stats.ledger_errors,
             durable=self._store is not None,
+            **self._store_counts(),
             cache=self.cache.stats(),
-            accountant=None,
             budget_refusals=self.stats.budget_refusals,
-            lp_solves=solve_call_count() - self._solves_at_start,
-            plans_compiled=self._plans_compiled,
-            densifications=Mechanism.densifications - self._densifications_at_start,
         )
 
-    def describe(self) -> str:
-        """One-line human summary (the CLI prints it on shutdown)."""
-        cache = self.cache.stats()
-        line = (
-            f"requests={self.stats.requests} records={self.stats.records} "
-            f"batches={self.stats.batches} "
-            f"coalesced={self.stats.coalesced_requests} "
-            f"max_batch={self.stats.max_batch} tenants={len(self._tenants)} "
-            f"budget_refusals={self.stats.budget_refusals} "
-            f"overloaded={self.stats.overloaded} "
-            f"replays={self.stats.replays} "
-            f"cache_hits={cache.hits} plans_compiled={self._plans_compiled}"
-        )
-        if self._store is not None:
-            line += f" {self._store.describe()}"
-        return line
+    def _store_counts(self) -> Dict[str, int]:
+        """Tenant-store recovery totals (empty when the daemon is not durable)."""
+        if self._store is None:
+            return {}
+        return {
+            "recovered_tenants": len(self._store.recovered),
+            "quarantined_tenants": len(self._store.quarantined),
+            "config_rejected_tenants": len(self._store.config_rejected),
+        }

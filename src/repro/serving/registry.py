@@ -389,12 +389,6 @@ class PlanRegistry:
                 "UPDATE plans SET checksum = 'deadbeef' WHERE key = ?", (key,)
             )
 
-    def describe(self) -> str:
-        return (
-            f"registry[{self.path.name} entries={len(self)} "
-            f"corrupt_rows={self.corrupt_rows} imported={self.imported_legacy}]"
-        )
-
     def close(self) -> None:
         with self._lock:
             try:

@@ -40,6 +40,7 @@ from repro.core.properties import StructuralProperty
 from repro.engine.plan import ReleasePlan
 from repro.privacy import BudgetExceededError, PrivacyAccountant
 from repro.serving.cache import DesignCache, design_key
+from repro.serving.stats import counter_snapshot, stats_payload
 
 PropertiesLike = Union[None, str, Iterable[Union[str, StructuralProperty]]]
 
@@ -138,6 +139,7 @@ class BatchReleaseSession:
         self.accountant = accountant
         self.stats = SessionStats()
         self._sync_budget_stats()
+        self._started = counter_snapshot()
         # Session-local compiled plans so repeat traffic reuses the same
         # ReleasePlan instance (and its mechanism's precomputed sampling
         # state) instead of rebuilding one from the cache payload per batch.
@@ -329,17 +331,15 @@ class BatchReleaseSession:
         """The mechanism this session would use for a design request."""
         return self.plan_for(n, alpha, properties=properties, objective=objective).mechanism
 
-    def describe(self) -> str:
-        """One-line summary of traffic served, cache behaviour and budget."""
-        cache = self.cache.stats()
-        budget = ""
-        if self.accountant is not None:
-            budget = (
-                f" {self.accountant.describe()}"
-                f" budget_refusals={self.stats.budget_refusals}"
-            )
-        return (
-            f"records={self.stats.records} batches={self.stats.batches} "
-            f"designs={self.stats.distinct_designs} cache_hits={cache.hits} "
-            f"cache_misses={cache.misses} hit_rate={cache.hit_rate:.1%}{budget}"
+    def stats_payload(self) -> Dict[str, Any]:
+        """This session's ``serve-batch`` stats object (:mod:`repro.serving.stats`)."""
+        return stats_payload(
+            "serve-batch",
+            records=self.stats.records,
+            since=self._started,
+            batches=self.stats.batches,
+            distinct_designs=self.stats.distinct_designs,
+            cache=self.cache.stats(),
+            accountant=self.accountant,
+            budget_refusals=self.stats.budget_refusals,
         )

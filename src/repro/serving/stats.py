@@ -1,15 +1,17 @@
-"""One machine-readable statistics schema for every serving surface.
+"""One statistics schema for every serving surface.
 
-``serve-batch --stats-json``, ``serve-stream --stats-json`` and the
-daemon's ``{"op": "stats"}`` response all emit the same JSON object shape,
-so dashboards and the CI smoke checks parse one schema regardless of which
-front-end served the traffic:
+``serve-batch``, ``serve-stream`` and the daemon each build one JSON object
+with :func:`stats_payload`.  ``--stats-json`` and the daemon's
+``{"op": "stats"}`` response emit that object; the ``--stats`` line is a
+rendering of the same object by :func:`stats_line`, so the two forms cannot
+disagree.  An abridged ``serve-stream`` object:
 
 .. code-block:: json
 
     {
       "command": "serve-stream",
       "records": 100000,
+      "chunk_size": 8192,
       "chunks": 13,
       "budget": {"alpha_target": 0.5, "alpha_spent": 0.81,
                  "alpha_remaining": 0.617, "releases": 2,
@@ -26,6 +28,16 @@ front-end served the traffic:
       "densifications": 0
     }
 
+renders as ``serve-stream: records=100000 chunk_size=8192 chunks=13
+budget.alpha_target=0.5 … cache.tiers.solve=1 lp_solves=0 …``: nested
+objects flatten into dotted keys and each value is its JSON text.
+
+``records`` counts the counts this surface released itself; counts a
+resumed ``serve-stream`` run found already served in its ledger are
+``resumed_records``.  The last five keys are the surface's share of the
+process-wide work counters: their growth since the
+:func:`counter_snapshot` the surface took when it started.
+
 The ``cache`` sub-object's registry keys: ``warm_attempts`` /
 ``warm_hits`` / ``warm_fallbacks`` are reserved for an LP warm start
 and read 0, since no solve is warm-started; ``corrupt_rows``
@@ -33,13 +45,11 @@ counts registry rows dropped on checksum/shape failure (each became a
 re-solve); ``imported_legacy`` counts loose ``design-*.json`` entries
 migrated on first open; ``tiers`` breaks requests down by serving tier
 (in-process ``memory``, persistent ``registry``, fresh LP ``solve``).
-The top-level ``lp_build_seconds`` / ``lp_solve_seconds`` are cumulative
-process-wide LP wall-times from :func:`repro.core.design.lp_timing_totals`.
 
 ``budget`` fields are ``null`` on unmetered sessions (except
 ``budget_refusals``, which is always a number); ``cache`` is ``null`` when
 no design cache was involved.  Extra per-surface counters (``batches``,
-``coalesced_requests``, ``tenants``, ``overloaded``, ``replays`` …) appear
+``chunks``, ``plan``, ``tenants``, ``overloaded``, ``replays`` …) appear
 as additional top-level keys — consumers must ignore keys they do not
 know.
 
@@ -50,8 +60,10 @@ between ``drain`` and SIGKILL.
 
 from __future__ import annotations
 
+import json
 from typing import Any, Dict, Optional
 
+from repro.core.mechanism import Mechanism
 from repro.privacy import PrivacyAccountant
 from repro.serving.cache import CacheStats
 
@@ -93,7 +105,7 @@ def budget_payload(
         "alpha_target": float(accountant.alpha_target),
         "alpha_spent": float(accountant.spent_alpha()),
         "alpha_remaining": float(accountant.remaining_alpha()),
-        "releases": len(accountant.history()),
+        "releases": accountant.release_count(),
         "budget_refusals": int(budget_refusals),
     }
 
@@ -129,48 +141,71 @@ def health_payload(
     return payload
 
 
+
+
+def counter_snapshot() -> Dict[str, float]:
+    """The process-wide work counters, read once when a surface starts.
+
+    LP solves, LP build and solve wall-time, :attr:`ReleasePlan.compilations
+    <repro.engine.plan.ReleasePlan.compilations>` and
+    :attr:`Mechanism.densifications
+    <repro.core.mechanism.Mechanism.densifications>`; :func:`stats_payload`
+    reports each as its growth since this snapshot.
+    """
+    # Deferred: the engine and design layers import the serving layer.
+    from repro.core.design import lp_timing_totals
+    from repro.engine.plan import ReleasePlan
+    from repro.lp.solver import solve_call_count
+
+    return {
+        "lp_solves": solve_call_count(),
+        **lp_timing_totals(),
+        "plans_compiled": ReleasePlan.compilations,
+        "densifications": Mechanism.densifications,
+    }
+
+
 def stats_payload(
     command: str,
     *,
     records: int,
+    since: Dict[str, float],
     cache: Optional[CacheStats] = None,
     accountant: Optional[PrivacyAccountant] = None,
     budget_refusals: int = 0,
-    lp_solves: Optional[int] = None,
-    lp_build_seconds: Optional[float] = None,
-    lp_solve_seconds: Optional[float] = None,
-    plans_compiled: Optional[int] = None,
-    densifications: Optional[int] = None,
     **counters: Any,
 ) -> Dict[str, Any]:
     """Assemble the shared stats object for one serving surface.
 
     ``counters`` lands as extra top-level keys (sorted, for stable output);
     pass surface-specific totals such as ``chunks=`` or ``batches=`` there.
-
-    ``lp_build_seconds`` / ``lp_solve_seconds`` default to the process-wide
-    accumulators from :func:`repro.core.design.lp_timing_totals`; pass
-    explicit values to report a delta instead.
+    ``since`` is the surface's :func:`counter_snapshot`; the work counters
+    at the end of the object are the deltas from it.
     """
-    from repro.core.design import lp_timing_totals  # deferred: avoids import cycle
-
-    totals = lp_timing_totals()
-    if lp_build_seconds is None:
-        lp_build_seconds = totals["lp_build_seconds"]
-    if lp_solve_seconds is None:
-        lp_solve_seconds = totals["lp_solve_seconds"]
     payload: Dict[str, Any] = {"command": command, "records": int(records)}
     for key in sorted(counters):
         payload[key] = counters[key]
     payload["budget"] = budget_payload(accountant, budget_refusals)
     payload["cache"] = cache_payload(cache)
-    payload["lp_solves"] = None if lp_solves is None else int(lp_solves)
-    payload["lp_build_seconds"] = round(float(lp_build_seconds), 6)
-    payload["lp_solve_seconds"] = round(float(lp_solve_seconds), 6)
-    payload["plans_compiled"] = (
-        None if plans_compiled is None else int(plans_compiled)
-    )
-    payload["densifications"] = (
-        None if densifications is None else int(densifications)
-    )
+    for key, value in counter_snapshot().items():
+        payload[key] = round(value - since[key], 6)
     return payload
+
+
+def flatten_payload(payload: Dict[str, Any], prefix: str = "") -> Dict[str, Any]:
+    """``payload`` with every nested object spread into dotted keys."""
+    flat: Dict[str, Any] = {}
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            flat.update(flatten_payload(value, f"{prefix}{key}."))
+        else:
+            flat[prefix + key] = value
+    return flat
+
+
+def stats_line(payload: Dict[str, Any]) -> str:
+    """The ``--stats`` line: ``command: key=value …``, each value as JSON text."""
+    flat = flatten_payload(payload)
+    command = flat.pop("command")
+    fields = " ".join(f"{key}={json.dumps(value)}" for key, value in flat.items())
+    return f"{command}: {fields}"

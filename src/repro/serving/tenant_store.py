@@ -461,11 +461,3 @@ class TenantStore:
         if self._commit_fd is not None:
             os.close(self._commit_fd)
             self._commit_fd = None
-
-    def describe(self) -> str:
-        """One-line summary for startup/shutdown logging."""
-        return (
-            f"state_dir={self.state_dir} recovered={len(self.recovered)} "
-            f"quarantined={len(self.quarantined)} "
-            f"config_rejected={len(self.config_rejected)}"
-        )

@@ -28,6 +28,8 @@ tests and benchmarks can assert that the package is bit-identical to it:
   array pow, as GM, EM and STAIRCASE did before they read them from
   :func:`repro.mechanisms.powers.power_table`;
   :func:`reference_closed_form` rebuilds a closed-form mechanism on them.
+* :func:`em_diagonal_loop` is the loop that summed ``alpha ** k`` for
+  :func:`repro.core.theory.em_diagonal` before it read the power table.
 
 None of them is meant for large inputs.  The module is imported by both
 ``tests/`` and ``benchmarks/``; ``benchmarks/conftest.py`` puts this
@@ -805,3 +807,28 @@ def reference_closed_form(mechanism: ClosedFormMechanism) -> ClosedFormMechanism
         alpha=mechanism.alpha,
         metadata=dict(mechanism.metadata),
     )
+
+
+def em_diagonal_loop(n: int, alpha: float, array_pow: bool = False) -> float:
+    """EM's diagonal ``y``: the reciprocal of a column sum of powers of α.
+
+    ``alpha ** k`` summed left to right by an explicit ``+=``, so the order
+    does not depend on the Python version (``sum()`` compensates from 3.12
+    on).  The powers come from Python's scalar pow, or with ``array_pow``
+    from ``alpha ** np.arange(...)``, the array pow the power table uses;
+    the two can differ in the last ulp.
+    """
+    if alpha == 1.0:
+        return 1.0 / (n + 1)
+    half = n // 2
+    if array_pow:
+        powers = alpha ** np.arange(half + 1, dtype=float)
+    else:
+        powers = [alpha**k for k in range(half + 1)]
+    total = 0.0
+    for k in range(1, half + 1):
+        total += powers[k]
+    column_sum = 1.0 + 2.0 * total
+    if n % 2:
+        column_sum += alpha ** (half + 1)
+    return 1.0 / column_sum

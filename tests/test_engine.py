@@ -33,6 +33,7 @@ from repro.histogram.release import HistogramRelease
 from repro.mechanisms.registry import create_mechanism
 from repro.privacy import BudgetExceededError, PrivacyAccountant
 from repro.serving import BatchReleaseSession, DesignCache, ReleaseRequest
+from repro.serving.stats import counter_snapshot
 
 
 def _dense_twin(mechanism: Mechanism) -> Mechanism:
@@ -99,14 +100,14 @@ class TestReleasePlan:
         released = plan.execute(np.array([1, 2, 3]), rng=np.random.default_rng(0))
         assert np.all(released % 10 == 0)
 
-    def test_counters_and_describe(self):
+    def test_counters_and_stats(self):
         plan = compile_plan(8, 0.9)
         plan.execute(np.array([1, 2]), rng=np.random.default_rng(0))
         plan.execute_tiled(np.array([1, 2]), 3, rng=np.random.default_rng(0))
         stats = plan.stats()
         assert stats["executions"] == 2
         assert stats["records_released"] == 2 + 6
-        assert "GM" in plan.describe()
+        assert stats["mechanism"] == "GM"
 
     def test_estimation_hooks(self):
         plan = compile_plan(8, 0.9)
@@ -244,7 +245,9 @@ class TestStreamExecutor:
         probe = np.random.default_rng(21)
         probe.random(200)
         assert rng.random() == probe.random()
-        assert "alpha_spent" in executor.describe()
+        budget = executor.stats_payload(counter_snapshot(), None)["budget"]
+        assert budget["alpha_spent"] == accountant.spent_alpha()
+        assert budget["budget_refusals"] == 1
 
     def test_invalid_counts_rejected_before_charging(self):
         # An out-of-range chunk must raise ValueError without burning
@@ -370,8 +373,9 @@ class TestSessionParity:
         assert session.stats.budget_refusals == 1
         assert session.stats.alpha_spent == pytest.approx(0.9**2)
         assert session.stats.alpha_remaining == pytest.approx(1.0)
-        assert "alpha_spent" in session.describe()
-        assert "budget_refusals=1" in session.describe()
+        budget = session.stats_payload()["budget"]
+        assert budget["alpha_spent"] == pytest.approx(0.9**2)
+        assert budget["budget_refusals"] == 1
 
     def test_mixed_release_refusal_spans_all_buckets(self):
         # A mixed batch whose *composed* cost exceeds the budget is refused

@@ -320,6 +320,22 @@ class TestCacheStats:
         stats = cache.stats()
         assert (stats.misses, stats.size, stats.corrupt_rows) == (1, 1, 0)
 
+    def test_misses_after_close_are_served_from_memory(self, tmp_path):
+        cache = DesignCache(directory=tmp_path)
+        cache.get_or_design(8, 0.9, properties="WH+CM")
+        cache.close()
+        memory_hit, _ = cache.get_or_design(8, 0.9, properties="WH+CM")
+        assert memory_hit.metadata["design_cache"] == "memory"
+        # A miss after close solves without touching the closed registry,
+        # and the new design is kept in memory only.
+        solved, _ = cache.get_or_design(6, 0.9, properties="WH+CM")
+        assert solved.metadata["design_cache"] == "solve"
+        again, _ = cache.get_or_design(6, 0.9, properties="WH+CM")
+        assert again.metadata["design_cache"] == "memory"
+        assert (cache.stats().misses, cache.stats().size) == (2, 2)
+        with PlanRegistry(tmp_path) as registry:
+            assert len(registry) == 1
+
 
 class TestWarmGrid:
     def test_parse_grid(self):

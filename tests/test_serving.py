@@ -288,11 +288,11 @@ class TestBatchReleaseSession:
         with pytest.raises(ValueError):
             ReleaseRequest(group="g", count=9, n=8, alpha=0.9)
 
-    def test_describe_mentions_traffic(self):
+    def test_stats_payload_mentions_traffic(self):
         session = BatchReleaseSession(rng=np.random.default_rng(0))
         session.release_counts([1, 2, 3], n=4, alpha=0.8)
-        text = session.describe()
-        assert "records=3" in text and "designs=1" in text
+        payload = session.stats_payload()
+        assert (payload["records"], payload["distinct_designs"]) == (3, 1)
 
     def test_histogram_via_session(self):
         session = BatchReleaseSession(rng=np.random.default_rng(4))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from _reference import em_diagonal_loop
 
 from repro.core import theory
 from repro.core.losses import l0_score
@@ -12,6 +13,9 @@ from repro.mechanisms.fair import explicit_fair_mechanism
 from repro.mechanisms.geometric import geometric_mechanism
 from repro.mechanisms.uniform import uniform_mechanism
 from repro.mechanisms.weakly_honest import weakly_honest_mechanism
+
+EM_SIZES = [1, 2, 3, 4, 5, 6, 7, 40, 41, 257, 1000, 1001, 2048, 20_000, 20_001]
+EM_ALPHAS = [0.0, 0.05, 0.3, 0.5, 0.62, 0.9, 0.99, 0.999, 1.0]
 
 
 class TestConversions:
@@ -59,6 +63,28 @@ class TestClosedFormScores:
 
     def test_em_diagonal_at_alpha_one_is_uniform(self):
         assert theory.em_diagonal(5, 1.0) == pytest.approx(1.0 / 6.0)
+
+    @pytest.mark.parametrize("alpha", EM_ALPHAS)
+    def test_em_diagonal_sums_the_power_table_left_to_right(self, alpha):
+        # Both parities, alpha in {0, 1}, and columns far past the power
+        # that underflows to 0.0 (k = 250 at alpha = 0.05, 7073 at 0.9).
+        for n in EM_SIZES:
+            assert theory.em_diagonal(n, alpha) == em_diagonal_loop(n, alpha, array_pow=True)
+
+    @pytest.mark.parametrize("alpha", EM_ALPHAS)
+    def test_em_diagonal_is_within_4_ulp_of_the_scalar_pow_loop(self, alpha):
+        # Array pow and scalar pow disagree in the last ulp for some powers,
+        # so the table sum can differ from the scalar loop by a few ulp.
+        for n in EM_SIZES:
+            expected = em_diagonal_loop(n, alpha)
+            assert abs(theory.em_diagonal(n, alpha) - expected) <= 4 * np.spacing(expected)
+
+    def test_em_diagonal_equals_the_scalar_pow_loop_on_the_release_grid(self):
+        # The (n, alpha) grid of tests/test_closed_form_identity.py: there the
+        # value, and so every EM release, is what the scalar loop gave.
+        for n in (1, 2, 5, 40, 257, 1000, 2048, 100_000):
+            for alpha in (0.05, 0.3, 0.5, 0.9, 0.999):
+                assert theory.em_diagonal(n, alpha) == em_diagonal_loop(n, alpha)
 
     def test_gm_structure_values(self):
         assert theory.gm_corner_value(0.5) == pytest.approx(2.0 / 3.0)
