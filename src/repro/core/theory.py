@@ -98,12 +98,17 @@ def em_diagonal(n: int, alpha: float) -> float:
     if alpha == 1.0:
         # Every power collapses to 1 and EM degenerates to the uniform mechanism.
         return 1.0 / (n + 1)
-    from repro.mechanisms.powers import power_table  # deferred: repro.mechanisms imports this
-
     half = n // 2
-    # Summed left to right (a sequential cumsum), so the value does not depend
-    # on the order a pairwise np.sum or a version of Python's sum() picks.
-    side = float(np.cumsum(power_table(alpha, half + 1)[1:])[-1]) if half else 0.0
+    # Summed left to right by ``+=``, so the value does not depend on the
+    # Python version (``sum()`` compensates from 3.12 on).  The powers fall,
+    # so the loop stops at the first one that underflows to 0.0: every later
+    # term would add 0.0.
+    side = 0.0
+    for k in range(1, half + 1):
+        power = alpha**k
+        if power == 0.0:
+            break
+        side += power
     column_sum = 1.0 + 2.0 * side
     if n % 2:
         column_sum += alpha ** (half + 1)

@@ -193,10 +193,10 @@ class DesignCache:
             )
 
     def clear(self, disk: bool = False) -> None:
-        """Drop every in-memory entry (and the registry tier when ``disk``)."""
+        """Drop every in-memory entry (and the open registry tier when ``disk``)."""
         with self._lock:
             self._entries.clear()
-            if disk and self.registry is not None:
+            if disk and self._disk_open:
                 self.registry.clear()
 
     def close(self) -> None:

@@ -28,8 +28,9 @@ tests and benchmarks can assert that the package is bit-identical to it:
   array pow, as GM, EM and STAIRCASE did before they read them from
   :func:`repro.mechanisms.powers.power_table`;
   :func:`reference_closed_form` rebuilds a closed-form mechanism on them.
-* :func:`em_diagonal_loop` is the loop that summed ``alpha ** k`` for
-  :func:`repro.core.theory.em_diagonal` before it read the power table.
+* :func:`em_diagonal_loop` sums every ``alpha ** k`` of an EM column, the
+  sum :func:`repro.core.theory.em_diagonal` stops at the first power that
+  underflows to 0.0.
 
 None of them is meant for large inputs.  The module is imported by both
 ``tests/`` and ``benchmarks/``; ``benchmarks/conftest.py`` puts this
@@ -809,25 +810,18 @@ def reference_closed_form(mechanism: ClosedFormMechanism) -> ClosedFormMechanism
     )
 
 
-def em_diagonal_loop(n: int, alpha: float, array_pow: bool = False) -> float:
+def em_diagonal_loop(n: int, alpha: float) -> float:
     """EM's diagonal ``y``: the reciprocal of a column sum of powers of α.
 
-    ``alpha ** k`` summed left to right by an explicit ``+=``, so the order
-    does not depend on the Python version (``sum()`` compensates from 3.12
-    on).  The powers come from Python's scalar pow, or with ``array_pow``
-    from ``alpha ** np.arange(...)``, the array pow the power table uses;
-    the two can differ in the last ulp.
+    Every ``alpha ** k`` up to ``n // 2``, summed left to right by ``+=``
+    (the order Python's ``sum()`` used before 3.12), with no early stop.
     """
     if alpha == 1.0:
         return 1.0 / (n + 1)
     half = n // 2
-    if array_pow:
-        powers = alpha ** np.arange(half + 1, dtype=float)
-    else:
-        powers = [alpha**k for k in range(half + 1)]
     total = 0.0
     for k in range(1, half + 1):
-        total += powers[k]
+        total += alpha**k
     column_sum = 1.0 + 2.0 * total
     if n % 2:
         column_sum += alpha ** (half + 1)

@@ -333,6 +333,8 @@ class TestCacheStats:
         again, _ = cache.get_or_design(6, 0.9, properties="WH+CM")
         assert again.metadata["design_cache"] == "memory"
         assert (cache.stats().misses, cache.stats().size) == (2, 2)
+        cache.clear(disk=True)
+        assert cache.stats().size == 0
         with PlanRegistry(tmp_path) as registry:
             assert len(registry) == 1
 

@@ -65,23 +65,15 @@ class TestClosedFormScores:
         assert theory.em_diagonal(5, 1.0) == pytest.approx(1.0 / 6.0)
 
     @pytest.mark.parametrize("alpha", EM_ALPHAS)
-    def test_em_diagonal_sums_the_power_table_left_to_right(self, alpha):
+    def test_em_diagonal_equals_the_full_scalar_pow_loop(self, alpha):
         # Both parities, alpha in {0, 1}, and columns far past the power
-        # that underflows to 0.0 (k = 250 at alpha = 0.05, 7073 at 0.9).
+        # that underflows to 0.0 (k = 250 at alpha = 0.05, 7073 at 0.9):
+        # stopping there changes no bit.
         for n in EM_SIZES:
-            assert theory.em_diagonal(n, alpha) == em_diagonal_loop(n, alpha, array_pow=True)
+            assert theory.em_diagonal(n, alpha) == em_diagonal_loop(n, alpha)
 
-    @pytest.mark.parametrize("alpha", EM_ALPHAS)
-    def test_em_diagonal_is_within_4_ulp_of_the_scalar_pow_loop(self, alpha):
-        # Array pow and scalar pow disagree in the last ulp for some powers,
-        # so the table sum can differ from the scalar loop by a few ulp.
-        for n in EM_SIZES:
-            expected = em_diagonal_loop(n, alpha)
-            assert abs(theory.em_diagonal(n, alpha) - expected) <= 4 * np.spacing(expected)
-
-    def test_em_diagonal_equals_the_scalar_pow_loop_on_the_release_grid(self):
-        # The (n, alpha) grid of tests/test_closed_form_identity.py: there the
-        # value, and so every EM release, is what the scalar loop gave.
+    def test_em_diagonal_equals_the_full_scalar_pow_loop_on_the_release_grid(self):
+        # The (n, alpha) grid of tests/test_closed_form_identity.py.
         for n in (1, 2, 5, 40, 257, 1000, 2048, 100_000):
             for alpha in (0.05, 0.3, 0.5, 0.9, 0.999):
                 assert theory.em_diagonal(n, alpha) == em_diagonal_loop(n, alpha)
